@@ -12,7 +12,7 @@ by residual.
 
 from .asymptotics import ExpansionTerm, asym_expansion, binet, \
     expansion_remainder, liu_formula_psi2, rho, stirling_decay_profile, \
-    stirling_residual, wendel_residual
+    wendel_residual
 from .catalog import CATALOG_NAMES, CatalogEntry, builtin, from_expression, \
     named_constant
 from .constants import ConstantsReport, asymptotic_constant, constants_report, \
@@ -30,7 +30,7 @@ from .numerics import QuadratureError, QuadResult, bernoulli_number, \
     richardson_extrapolate, zeta_int
 from .shape import ShapeError, ShapeReport, classify, decays_at, dp_degree, \
     kp_check
-from .sigma import GFunction, MissingSigmaConstant, SigmaResult, sigma, \
+from .sigma import GFunction, SigmaResult, sigma, \
     sigma_deriv, sigma_direct, sigma_eulerian, sigma_gregory
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __all__ = [
     "ExprSyntaxError",
     "GFunction",
     "Jet",
-    "MissingSigmaConstant",
     "QuadResult",
     "QuadratureError",
     "ResidualReport",
@@ -99,7 +98,6 @@ __all__ = [
     "sigma_gregory",
     "sigma_integral_rep_psi2",
     "stirling_decay_profile",
-    "stirling_residual",
     "taylor_psi2",
     "wallis_extrapolated",
     "wallis_partial_psi2",

@@ -12,14 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import bernoulli_number, forward_diff, gen_binomial, gregory_coeff, \
-    integrate, richardson_extrapolate
+from .numerics import NAMED_CONSTANTS, bernoulli_number, forward_diff, gen_binomial, \
+    gregory_coeff, integrate, richardson_extrapolate
 from .sigma import GFunction, integral_from_1, sigma
 from .constants import asymptotic_constant
-
-# ln of the Glaisher-Kinkelin constant; duplicated from the catalog table
-# because this module sits below it in the import order (pinned by test)
-_LN_GLAISHER = 0.24875447703378425
 
 
 @dataclass(frozen=True)
@@ -76,11 +72,10 @@ def binet(g: GFunction, p: int | None = None, x: float = 1.0,
     """
     if p is None:
         p = g.p
-    asymptotic_constant(g, p)
     if mode == "explicit":
         head = math.fsum(gregory_coeff(j) * forward_diff(g, x, j - 1)
                          for j in range(1, p + 1))
-        return sigma(g, x).value - g.sigma_constant - integral_from_1(g, x) + head
+        return sigma(g, x).value - asymptotic_constant(g) - integral_from_1(g, x) + head
 
     if mode == "integral":
         sig_x = sigma(g, x).value
@@ -96,15 +91,10 @@ def binet(g: GFunction, p: int | None = None, x: float = 1.0,
     raise ValueError("mode must be 'explicit' or 'integral'")
 
 
-def stirling_residual(g: GFunction, p: int | None = None, x: float = 1.0) -> float:
-    """Alias of the explicit Binet evaluation; the Stirling-type residual."""
-    return binet(g, p, x, mode="explicit")
-
-
 def stirling_decay_profile(g: GFunction, p: int | None = None,
                            xs: tuple[float, ...] = (10.0, 100.0, 1000.0)) -> list[float]:
     """|J^{p+1}[Sigma g]| sampled along xs; diagnostic for decay at infinity."""
-    return [abs(stirling_residual(g, p, x)) for x in xs]
+    return [abs(binet(g, p, x, mode="explicit")) for x in xs]
 
 
 def asym_expansion(g: GFunction, p: int | None = None, x: float = 10.0,
@@ -167,7 +157,7 @@ def liu_formula_psi2(x: float, n_intervals: int = 2048) -> float:
         (6.0 * x * x - 6.0 * x + 1.0) / 12.0 * math.log(x)
         - 0.25 * (3.0 * x - 2.0) * x
         + 0.5 * x * math.log(2.0 * math.pi)
-        + _LN_GLAISHER
+        + NAMED_CONSTANTS["ln_glaisher"]
     )
     pieces = []
     partials = []

@@ -17,19 +17,11 @@ from typing import Callable, Optional
 from .exprlang import Jet, eval_jet, evaluate, parse
 from .shape import classify
 from .sigma import GFunction
-from .numerics import integrate
+from .numerics import NAMED_CONSTANTS, integrate
 
-_CONSTANT_TABLE = {
-    "euler_gamma": 0.5772156649015329,
-    "ln_glaisher": 0.24875447703378425,
-    "ln_2pi": 1.8378770664093456,
-    "ln_pi": 1.1447298858494002,
-    "ln_2": 0.6931471805599453,
-}
+_HALF_LN_2PI = NAMED_CONSTANTS["ln_2pi"] / 2.0
 
-_HALF_LN_2PI = _CONSTANT_TABLE["ln_2pi"] / 2.0
-
-# closed forms assembled from the constants above, frozen as literals so
+# closed forms assembled from the named constants, frozen as literals so
 # results stay bit-identical across runs
 _SIGMA_LN = -0.08106146679532726        # ln(2 pi)/2 - 1
 _SIGMA_PSI2G = -0.04177625636387937     # ln A + ln(2 pi)/4 - 3/4
@@ -39,9 +31,9 @@ _SIGMA_XLNX = -0.08457885629954907      # ln A - 1/3
 
 def named_constant(name: str) -> float:
     """Stored value of a named constant; raises KeyError on unknown names."""
-    if name not in _CONSTANT_TABLE:
+    if name not in NAMED_CONSTANTS:
         raise KeyError(f"unknown constant {name!r}")
-    return _CONSTANT_TABLE[name]
+    return NAMED_CONSTANTS[name]
 
 
 @dataclass(frozen=True)
@@ -214,10 +206,10 @@ def builtin(name: str) -> CatalogEntry:
         )
         return CatalogEntry(
             name="recip", g=g,
-            sigma_closed=_CONSTANT_TABLE["euler_gamma"],
-            gamma_closed=_CONSTANT_TABLE["euler_gamma"],
+            sigma_closed=NAMED_CONSTANTS["euler_gamma"],
+            gamma_closed=NAMED_CONSTANTS["euler_gamma"],
             offset=0.0,
-            reference=lambda x: reference_digamma(x) + _CONSTANT_TABLE["euler_gamma"],
+            reference=lambda x: reference_digamma(x) + NAMED_CONSTANTS["euler_gamma"],
         )
     raise KeyError(f"unknown catalog entry {name!r}")
 

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: eval | constants | verify | expand | tabulate | catalog.
-Exit codes: 0 ok, 2 input/parse error, 3 convergence failure (rows are
-still emitted), 4 identity violation.  Output is CSV or JSON, floats
-rendered by repr so identical inputs (and seed) give byte-identical
-bytes on any platform.
+Exit codes: 0 ok, 2 input/parse error (NaN and inf included), 3
+convergence failure (rows are still emitted) or a result that is not
+finite, 4 identity violation or a suite that checked nothing.  Output
+is CSV or JSON, floats rendered by repr so identical inputs (and seed)
+give byte-identical bytes on any platform.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .catalog import CATALOG_NAMES, CatalogEntry, builtin, from_expression, \
 from .exprlang import ExprError
 from .numerics import QuadratureError
 from .shape import ShapeError
-from .sigma import MissingSigmaConstant, sigma
+from .sigma import sigma
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -35,8 +36,6 @@ EXIT_VIOLATION = 4
 
 _PSI2_ONLY_SUITES = ("webster", "wallis", "reflection", "taylor",
                      "euler-series", "inequalities")
-_GENERIC_SUITES = ("raabe", "mult", "wendel", "stirling")
-_SUITES = _GENERIC_SUITES + _PSI2_ONLY_SUITES + ("all",)
 
 
 class CliInputError(ValueError):
@@ -56,8 +55,8 @@ class RunConfig:
     def __post_init__(self):
         if (self.fn is None) == (self.expr is None):
             raise CliInputError("exactly one of --fn / --expr is required")
-        if self.tol < 1e-12:
-            raise CliInputError("--tol must be >= 1e-12")
+        if not (math.isfinite(self.tol) and self.tol >= 1e-12):
+            raise CliInputError("--tol must be finite and >= 1e-12")
 
     @property
     def label(self) -> str:
@@ -72,6 +71,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise CliInputError(f"{flag} must be finite, got {value!r}")
+    return value
+
+
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -79,7 +84,7 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         raise CliInputError(f"{flag} expects comma-separated numbers, got {text!r}")
     if not values:
         raise CliInputError(f"{flag} must contain at least one number")
-    return values
+    return [_finite(v, flag) for v in values]
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
@@ -129,6 +134,13 @@ def _emit_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def _sigma_point(g, x: float, tol: float):
+    res = sigma(g, x, tol=tol)
+    if not (math.isfinite(res.value) and math.isfinite(res.err_estimate)):
+        raise OverflowError(f"Sigma g({x!r}) is not finite in double precision")
+    return res
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -136,15 +148,11 @@ def cmd_eval(cfg: RunConfig, xs: list[float], offset_mode: str, out) -> int:
     entry = _resolve_entry(cfg)
     if any(x <= 0.0 for x in xs):
         raise CliInputError("--x values must be positive")
-    try:
-        constants.asymptotic_constant(entry.g, entry.g.p)
-    except (QuadratureError, ShapeError):
-        pass  # per-point strategies still work without the cached constant
     shift = entry.offset if offset_mode == "named" else 0.0
     rows = []
     worst_over_tol = False
     for x in xs:
-        res = sigma(entry.g, x, tol=cfg.tol)
+        res = _sigma_point(entry.g, x, cfg.tol)
         if res.err_estimate > cfg.tol:
             worst_over_tol = True
         rows.append([x, res.value + shift, res.err_estimate, res.strategy])
@@ -190,7 +198,7 @@ def cmd_constants(cfg: RunConfig, out) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _suite_raabe(entry, xs):
+def _suite_raabe(entry, ms, xs):
     xs = xs or [0.5, 1.0, 2.0, 5.0, 10.0]
     sides = [identities.raabe_sides(entry.g, entry.g.p, x) for x in xs]
     residuals = [lhs - rhs for lhs, rhs in sides]
@@ -224,7 +232,7 @@ def _suite_mult(entry, ms, xs):
     return reports
 
 
-def _suite_wendel(entry, xs):
+def _suite_wendel(entry, ms, xs):
     reports = []
     a_grid = [0.25, 0.5, 0.75]
     if entry.name == "ln":
@@ -258,7 +266,7 @@ def _suite_wendel(entry, xs):
     return reports
 
 
-def _suite_stirling(entry, xs):
+def _suite_stirling(entry, ms, xs):
     if entry.name == "psi2g":
         xs = xs or [25.0, 50.0, 100.0]
         points, residuals, sides = [], [], []
@@ -292,7 +300,7 @@ def _suite_webster(entry, ms, xs):
     return [(identities.make_report("webster", points, residuals, sides), 1e-7)]
 
 
-def _suite_wallis(entry):
+def _suite_wallis(entry, ms, xs):
     first, second = identities.wallis_extrapolated(10_000)
     lim1 = named_constant("ln_2") / 12.0 - 3.0 * named_constant("ln_glaisher")
     lim2 = named_constant("ln_glaisher") - named_constant("ln_2") / 12.0
@@ -304,7 +312,7 @@ def _suite_wallis(entry):
     return [(report, 1e-3)]
 
 
-def _suite_reflection(entry, xs):
+def _suite_reflection(entry, ms, xs):
     xs = xs or [0.1, 0.25, 0.5, 0.75, 0.9]
     sides = [identities.reflection_sides_psi2(x) for x in xs]
     residuals = [lhs - rhs for lhs, rhs in sides]
@@ -312,7 +320,7 @@ def _suite_reflection(entry, xs):
                                     [list(s) for s in sides]), 1e-7)]
 
 
-def _suite_taylor(entry, xs):
+def _suite_taylor(entry, ms, xs):
     xs = xs or [-0.5, -0.25, 0.25, 0.5]
     points, residuals, sides = [], [], []
     for x in xs:
@@ -324,14 +332,14 @@ def _suite_taylor(entry, xs):
     return [(identities.make_report("taylor", points, residuals, sides), 1e-9)]
 
 
-def _suite_euler_series(entry):
+def _suite_euler_series(entry, ms, xs):
     partial = identities.euler_series_analogue(50)
     closed = identities.euler_series_closed()
     return [(identities.make_report("euler-series", [50], [partial - closed],
                                     [[partial, closed]]), 1e-12)]
 
 
-def _suite_inequalities(entry):
+def _suite_inequalities(entry, ms, xs):
     reports = []
     points, residuals, sides = [], [], []
     for i in range(1, 21):
@@ -361,37 +369,38 @@ def _suite_inequalities(entry):
     return reports
 
 
+# suite name -> runner(entry, ms, xs), each returning (report, tol) pairs;
+# "all" runs them in this order
+_SUITES = {
+    "raabe": _suite_raabe,
+    "mult": _suite_mult,
+    "wendel": _suite_wendel,
+    "stirling": _suite_stirling,
+    "webster": _suite_webster,
+    "wallis": _suite_wallis,
+    "reflection": _suite_reflection,
+    "taylor": _suite_taylor,
+    "euler-series": _suite_euler_series,
+    "inequalities": _suite_inequalities,
+}
+
+
 def cmd_verify(cfg: RunConfig, suite: str, ms: Optional[list[int]],
                xs: Optional[list[float]], out) -> int:
     entry = _resolve_entry(cfg)
-    if suite not in _SUITES:
+    if suite == "all":
+        wanted = [s for s in _SUITES if entry.name == "psi2g" or s not in _PSI2_ONLY_SUITES]
+    elif suite in _SUITES:
+        wanted = [suite]
+    else:
         raise CliInputError(f"unknown suite {suite!r}")
-    wanted = list(_GENERIC_SUITES + _PSI2_ONLY_SUITES) if suite == "all" else [suite]
-    if suite == "all" and entry.name != "psi2g":
-        wanted = [s for s in wanted if s not in _PSI2_ONLY_SUITES]
     collected = []
     for name in wanted:
         if name in _PSI2_ONLY_SUITES and entry.name != "psi2g":
             raise CliInputError(f"suite {name!r} requires --fn psi2g")
-        if name == "raabe":
-            collected += _suite_raabe(entry, xs)
-        elif name == "mult":
-            collected += _suite_mult(entry, ms, xs)
-        elif name == "wendel":
-            collected += _suite_wendel(entry, xs)
-        elif name == "stirling":
-            collected += _suite_stirling(entry, xs)
-        elif name == "webster":
-            collected += _suite_webster(entry, ms, xs)
-        elif name == "wallis":
-            collected += _suite_wallis(entry)
-        elif name == "reflection":
-            collected += _suite_reflection(entry, xs)
-        elif name == "taylor":
-            collected += _suite_taylor(entry, xs)
-        elif name == "euler-series":
-            collected += _suite_euler_series(entry)
-    all_pass = all(rep.max_abs <= tol for rep, tol in collected)
+        collected += _SUITES[name](entry, ms, xs)
+    # a suite that checked nothing is not a pass
+    all_pass = bool(collected) and all(rep.max_abs <= tol for rep, tol in collected)
     if cfg.fmt == "json":
         out.write(_emit_json({
             "command": "verify",
@@ -434,7 +443,7 @@ def cmd_verify(cfg: RunConfig, suite: str, ms: Optional[list[int]],
 
 def cmd_expand(cfg: RunConfig, x: float, q: int, m: int, out) -> int:
     entry = _resolve_entry(cfg)
-    if x <= 0.0:
+    if _finite(x, "--x") <= 0.0:
         raise CliInputError("--x must be positive")
     if not 0 <= q <= 8:
         raise CliInputError("--q must be in 0..8")
@@ -469,10 +478,11 @@ def cmd_expand(cfg: RunConfig, x: float, q: int, m: int, out) -> int:
 
 def cmd_tabulate(cfg: RunConfig, start: float, stop: float, step: float, out) -> int:
     entry = _resolve_entry(cfg)
-    if step <= 0.0:
+    if _finite(step, "--step") <= 0.0:
         raise CliInputError("--step must be positive")
-    if start <= 0.0:
+    if _finite(start, "--from") <= 0.0:
         raise CliInputError("--from must be positive")
+    _finite(stop, "--to")
     xs = []
     i = 0
     while True:
@@ -484,21 +494,16 @@ def cmd_tabulate(cfg: RunConfig, start: float, stop: float, step: float, out) ->
     with_bounds = entry.name == "psi2g"
     worst_over_tol = False
     rows = []
-    if xs:
-        try:
-            constants.asymptotic_constant(entry.g, entry.g.p)
-        except (QuadratureError, ShapeError):
-            pass
-        for x in xs:
-            res = sigma(entry.g, x, tol=cfg.tol)
-            if res.err_estimate > cfg.tol:
-                worst_over_tol = True
-            jval = asymptotics.binet(entry.g, entry.g.p, x)
-            if with_bounds:
-                alpha, beta = identities.bounds_alpha_beta(x)
-            else:
-                alpha = beta = None
-            rows.append([x, res.value, jval, alpha, beta])
+    for x in xs:
+        res = _sigma_point(entry.g, x, cfg.tol)
+        if res.err_estimate > cfg.tol:
+            worst_over_tol = True
+        jval = asymptotics.binet(entry.g, entry.g.p, x)
+        if with_bounds:
+            alpha, beta = identities.bounds_alpha_beta(x)
+        else:
+            alpha = beta = None
+        rows.append([x, res.value, jval, alpha, beta])
     if cfg.fmt == "csv":
         out.write(_emit_csv(["x", "sigma", "binet", "alpha", "beta"], rows))
     else:
@@ -586,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run identity/inequality suites")
-    p_verify.add_argument("--suite", required=True, choices=list(_SUITES))
+    p_verify.add_argument("--suite", required=True, choices=list(_SUITES) + ["all"])
     p_verify.add_argument("--m", help="comma-separated multiplication orders")
     p_verify.add_argument("--x", help="comma-separated grid override")
 
@@ -642,7 +647,7 @@ def run(argv=None, out=None) -> int:
     except ShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (QuadratureError, MissingSigmaConstant) as exc:
+    except (QuadratureError, OverflowError) as exc:
         print(f"error: convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
 

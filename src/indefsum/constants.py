@@ -1,9 +1,11 @@
 """Asymptotic constant sigma[g], generalized Euler constant gamma[g].
 
-sigma[g] is the definite integral of Sigma g over [1, 2]; gamma[g] peels
-off the Gregory head sum_{j<=p} G_j Delta^{j-1} g(1).  Both get an
-independent cross-check route: a piecewise interpolation-error integral
-for gamma, and a Bernoulli-kernel integral representation for the
+sigma[g] is the definite integral of Sigma g over [1, 2]; it is computed
+as the shifted Gregory form at x = 1 (sigma.gregory_constant), where
+Sigma g(1) = 0 leaves the constant alone.  gamma[g] peels off the
+Gregory head sum_{j<=p} G_j Delta^{j-1} g(1).  Both get an independent
+cross-check route: a piecewise interpolation-error integral for gamma,
+and a Bernoulli-kernel integral representation for the
 x ln x - x + ln(2 pi)/2 entry's sigma.
 """
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from .numerics import gregory_coeff, forward_diff, integrate, interp_poly_eval, \
     richardson_extrapolate
 from .shape import ShapeError, decays_at
-from .sigma import GFunction, sigma_eulerian
+from .sigma import GFunction, gregory_constant
 
 
 @dataclass(frozen=True)
@@ -28,22 +30,16 @@ class ConstantsReport:
     method: str
 
 
-def asymptotic_constant(g: GFunction, p: int | None = None, tol: float = 1e-11) -> float:
+def asymptotic_constant(g: GFunction, p: int | None = None) -> float:
     """sigma[g] = integral_1^2 Sigma g(t) dt, cached on g once computed.
 
-    The integrand is the Eulerian-series evaluation of Sigma g at a
-    tolerance one order below the quadrature target, so the quadrature
-    error estimate dominates.  Idempotent: repeated calls return the
-    cached value.
+    The value is sigma.gregory_constant's; sigma[g] does not depend on
+    the order p, which is accepted for the callers that pass it.
+    Idempotent: repeated calls return the cached value.
     """
-    if g.sigma_constant is not None:
-        return g.sigma_constant
-    if tol < 1e-11:
-        raise ValueError("tol must be >= 1e-11")
-    if p is None:
-        p = g.p
-    res = integrate(lambda t: sigma_eulerian(g, p, t, tol=1e-12).value, 1.0, 2.0, tol)
-    return g.cache_sigma_constant(res.value)
+    if g.sigma_constant is None:
+        g.cache_sigma_constant(gregory_constant(g).value)
+    return g.sigma_constant
 
 
 def _gregory_head(g, p: int, x: float = 1.0) -> float:
@@ -130,8 +126,10 @@ def sigma_integral_rep_psi2(N: int = 2048, with_partials: bool = False):
 def fontana_partial(g, x: float = 1.0, N: int = 10) -> list[float]:
     """Running Gregory-coefficient sums S_n = sum_{j<=n} G_j Delta^{j-1} g(x).
 
-    At x = 1 these converge to sigma[g]; the classical g = 1/x case
-    reproduces the Fontana-Mascheroni series for Euler's constant.
+    At x = 1 these converge to sigma[g], slowly; the classical g = 1/x
+    case reproduces the Fontana-Mascheroni series for Euler's constant.
+    sigma.gregory_constant evaluates the same series at x = 61 and
+    carries it back to x = 1 through the difference equation.
     """
     if not 1 <= N <= 12:
         raise ValueError("N must be in 1..12")
@@ -139,18 +137,15 @@ def fontana_partial(g, x: float = 1.0, N: int = 10) -> list[float]:
     return list(itertools.accumulate(terms))
 
 
-def constants_report(g: GFunction, p: int | None = None, tol: float = 1e-11) -> ConstantsReport:
-    """Assemble (p, sigma, gamma, err) with the method that produced sigma."""
+def constants_report(g: GFunction, p: int | None = None) -> ConstantsReport:
+    """Assemble (p, sigma, gamma, err) with the method that produced sigma.
+
+    err is gregory_constant's bound on the error of sigma.
+    """
     if p is None:
         p = g.p
-    if g.sigma_constant is not None:
-        sig = g.sigma_constant
-        err = tol
-        method = "cached"
-    else:
-        res = integrate(lambda t: sigma_eulerian(g, p, t, tol=1e-12).value, 1.0, 2.0, tol)
-        sig = g.cache_sigma_constant(res.value)
-        err = res.err_estimate + 1e-12
-        method = "eulerian-quadrature"
+    res = gregory_constant(g)
+    sig = g.cache_sigma_constant(res.value)
     gam = sig - _gregory_head(g, p)
-    return ConstantsReport(p=p, sigma=sig, gamma_gen=gam, err=err, method=method)
+    return ConstantsReport(p=p, sigma=sig, gamma_gen=gam, err=res.err_estimate,
+                           method=res.strategy)

@@ -25,6 +25,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+from .numerics import NAMED_CONSTANTS
+
 __all__ = [
     "Expr",
     "Literal",
@@ -100,14 +102,11 @@ class Binary:
 Expr = Union[Literal, Constant, Variable, Unary, Binary]
 
 
-# euler_gamma / ln_glaisher literals are owned by module catalog; the
-# duplication here keeps this module import-free and is pinned equal to
-# catalog's table by a unit test.
 _CONSTANTS = {
     "pi": math.pi,
     "e": math.e,
-    "euler_gamma": 0.5772156649015329,
-    "ln_glaisher": 0.24875447703378425,
+    "euler_gamma": NAMED_CONSTANTS["euler_gamma"],
+    "ln_glaisher": NAMED_CONSTANTS["ln_glaisher"],
 }
 
 _FUNCTIONS = ("ln", "exp", "sin", "cos", "sqrt")

@@ -50,39 +50,24 @@ def make_report(identity: str, points: list, residuals: list[float],
                           max_abs=max_abs, sides=sides)
 
 
-def _psi2_entry():
-    entry = builtin("psi2g")
-    asymptotic_constant(entry.g, entry.g.p)
-    return entry
-
-
-def _ln_entry():
-    entry = builtin("ln")
-    asymptotic_constant(entry.g, entry.g.p)
-    return entry
-
-
 def psi2_value(x: float) -> float:
     """Engine psi_-2(x): normalized Sigma g plus the ln(2 pi)/2 offset."""
-    entry = _psi2_entry()
+    entry = builtin("psi2g")
     return sigma(entry.g, x).value + entry.offset
 
 
 def lngamma_value(x: float) -> float:
     """Engine log-gamma, i.e. Sigma ln."""
-    return sigma(_ln_entry().g, x).value
+    return sigma(builtin("ln").g, x).value
 
 
 # ---------------------------------------------------------------------------
 # Raabe
 
 def raabe_sides(g: GFunction, p: int | None = None, x: float = 1.0) -> tuple[float, float]:
-    """(integral_x^{x+1} Sigma g, sigma[g] + integral_1^x g)."""
-    if p is None:
-        p = g.p
-    asymptotic_constant(g, p)
+    """(integral_x^{x+1} Sigma g, sigma[g] + integral_1^x g); neither depends on p."""
     lhs = integrate(lambda t: sigma(g, t).value, x, x + 1.0, tol=1e-10).value
-    rhs = g.sigma_constant + integral_from_1(g, x)
+    rhs = asymptotic_constant(g) + integral_from_1(g, x)
     return lhs, rhs
 
 
@@ -94,18 +79,10 @@ def raabe_residual(g: GFunction, p: int | None = None, x: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 # Multiplication
 
-_scaled_cache: dict = {}
-
-
 def _scaled_entry(g: GFunction, m: int) -> GFunction:
     """g_m(x) = g(x/m), sharing p and shape with g (dilation preserves both)."""
     if m == 1:
         return g
-    key = (id(g), m)
-    hit = _scaled_cache.get(key)
-    if hit is not None and hit[0] is g:
-        return hit[1]
-
     fm = float(m)
 
     def eval_m(t: float) -> float:
@@ -123,10 +100,8 @@ def _scaled_entry(g: GFunction, m: int) -> GFunction:
         def antideriv_m(y: float) -> float:
             return fm * (g.antideriv(y / fm) - g.antideriv(1.0 / fm))
 
-    gm = GFunction(eval=eval_m, jet=jet_m, antideriv=antideriv_m,
-                   p=g.p, shape=g.shape, name=f"{g.name}(x/{m})")
-    _scaled_cache[key] = (g, gm)
-    return gm
+    return GFunction(eval=eval_m, jet=jet_m, antideriv=antideriv_m,
+                     p=g.p, shape=g.shape, name=f"{g.name}(x/{m})")
 
 
 def mult_sides(g: GFunction, p: int | None = None, m: int = 1,
@@ -135,15 +110,15 @@ def mult_sides(g: GFunction, p: int | None = None, m: int = 1,
 
     lhs = sum_{j<m} Sigma g((x+j)/m)
     rhs = Sigma g_m(x) + m sigma[g] - sigma[g_m] - integral_1^m g_m
+
+    Neither side depends on p.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if p is None:
-        p = g.p
-    sig_g = asymptotic_constant(g, p)
+    sig_g = asymptotic_constant(g)
     lhs = math.fsum(sigma(g, (x + j) / m).value for j in range(m))
     gm = _scaled_entry(g, m)
-    sig_gm = asymptotic_constant(gm, p)
+    sig_gm = asymptotic_constant(gm)
     if m == 1:
         integral = 0.0
     elif gm.antideriv is not None:
@@ -190,7 +165,7 @@ def webster_sides(m: int, x: float) -> tuple[float, float]:
     """(sum_{j<m} f(x + j/m), g(x)) for f(t) = psi_-2(t + 1/m) - psi_-2(t)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    entry = _psi2_entry()
+    entry = builtin("psi2g")
     lhs = math.fsum(
         psi2_value(x + j / m + 1.0 / m) - psi2_value(x + j / m) for j in range(m)
     )
@@ -214,8 +189,7 @@ def wallis_partial_psi2(n: int) -> tuple[float, float]:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    entry = _psi2_entry()
-    g = entry.g.eval
+    g = builtin("psi2g").g.eval
     h1 = (n + 0.25) * math.log(n) - n * (1.0 - math.log(2.0))
     h2 = (
         n * n * math.log(2.0 * n)
@@ -352,7 +326,7 @@ def inequality_report_psi2(x: float, a: float) -> ResidualReport:
     """
     if x <= 0.0 or a < 0.0:
         raise ValueError("require x > 0 and a >= 0")
-    entry = _psi2_entry()
+    entry = builtin("psi2g")
     g = entry.g.eval
     dg = lambda y: g(y + 1.0) - g(y)
     d2g = lambda y: g(y + 2.0) - 2.0 * g(y + 1.0) + g(y)

@@ -15,6 +15,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
+# the named constants of the catalog and of the expression language
+NAMED_CONSTANTS = {
+    "euler_gamma": 0.5772156649015329,
+    "ln_glaisher": 0.24875447703378425,
+    "ln_2pi": 1.8378770664093456,
+    "ln_pi": 1.1447298858494002,
+    "ln_2": 0.6931471805599453,
+}
+
 
 def gen_binomial(x: float, j: int) -> float:
     """Generalized binomial coefficient C(x, j) = x(x-1)...(x-j+1)/j!.

@@ -1,33 +1,39 @@
 """Principal indefinite sums Sigma g and their derivatives.
 
-Three evaluation strategies, each returning a SigmaResult:
+The production path is the shifted Gregory form
+
+  Sigma g(x) = sigma[g] + integral_1^{x+N} g
+               - sum_{n=1..J} G_n Delta^{n-1} g(x+N) - sum_{k<N} g(x+k).
+
+Since Sigma g(1) = 0, the same form at x = 1 yields the asymptotic
+constant sigma[g] itself (gregory_constant), so sigma_gregory needs no
+prepared input: it fills g's cache on first use, and sigma() always
+dispatches to it.  sigma_deriv() differentiates the form termwise, where
+the constant drops out.
+
+Two independent routes are kept as cross-checks:
 
   sigma_direct    the defining Gauss-style limit f_pn along n = n0 * 2^k
                   with Richardson extrapolation of the snapshots;
-  sigma_eulerian  the additive Euler-product series with tail
-                  extrapolation;
-  sigma_gregory   shift to x+N >= 30 and truncate the Gregory series
-                  there (needs the function's sigma constant).
+  sigma_eulerian  the additive Euler-product series with the same
+                  snapshot extrapolation.
 
-sigma() dispatches between them; sigma_deriv() differentiates the
-shifted Gregory form (or the Eulerian series) termwise.
-
-All strategies normalize Sigma g(1) = 0. For x > 2 the direct and
-Eulerian strategies apply exact argument reduction through the
-difference equation Sigma g(x) = Sigma g(x - m) + sum_{k<m} g(x - m + k),
-evaluating the series at x - m in (1, 2] where their convergence is
-clean, then adding the finite sum back.
+All strategies normalize Sigma g(1) = 0. For x > 2 the cross-check
+routes apply exact argument reduction through the difference equation
+Sigma g(x) = Sigma g(x - m) + sum_{k<m} g(x - m + k), evaluating the
+series at x - m in (1, 2] where their convergence is clean, then adding
+the finite sum back.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .exprlang import Jet
 from .numerics import (
-    forward_diff,
     gen_binomial,
     gregory_coeff,
     integrate,
@@ -37,8 +43,8 @@ from .numerics import (
 __all__ = [
     "GFunction",
     "SigmaResult",
-    "MissingSigmaConstant",
     "f_pn",
+    "gregory_constant",
     "sigma_direct",
     "sigma_eulerian",
     "sigma_gregory",
@@ -46,10 +52,6 @@ __all__ = [
     "sigma_deriv",
     "integral_from_1",
 ]
-
-
-class MissingSigmaConstant(RuntimeError):
-    """Gregory strategy invoked before sigma[g] was computed and cached."""
 
 
 @dataclass(eq=False)
@@ -128,15 +130,23 @@ def _edge_diffs(window: list[float]) -> list[float]:
     return out
 
 
-def _reduce_argument(g: GFunction, x: float) -> tuple[float, float]:
-    # for x > 2 rewrite Sigma g(x) = Sigma g(xr) + sum_{k<m} g(xr+k),
+def _reduce_argument(f: Callable[[float], float], x: float) -> tuple[float, float]:
+    # for x > 2 rewrite Sigma f(x) = Sigma f(xr) + sum_{k<m} f(xr+k),
     # xr = x - m in (1, 2]; exact difference-equation bookkeeping
     if x <= 2.0:
         return x, 0.0
     m = math.ceil(x) - 2
     xr = x - m
-    shift = math.fsum(g.eval(xr + k) for k in range(m))
+    shift = math.fsum(f(xr + k) for k in range(m))
     return xr, shift
+
+
+def _newton_tail(g: GFunction, p: int, n: int, x: float) -> list[float]:
+    # C(x, j) Delta^{j-1} g(n) for j = 1..p: the interpolation head of f_pn
+    if p == 0:
+        return []
+    diffs = _edge_diffs([g.eval(float(n + i)) for i in range(p)])
+    return [gen_binomial(x, j) * diffs[j - 1] for j in range(1, p + 1)]
 
 
 def f_pn(g: GFunction, p: int, n: int, x: float) -> float:
@@ -153,12 +163,7 @@ def f_pn(g: GFunction, p: int, n: int, x: float) -> float:
     terms = [-g.eval(x)]
     for k in range(1, n):
         terms.append(g.eval(float(k)) - g.eval(x + k))
-    if p > 0:
-        window = [g.eval(float(n + i)) for i in range(p)]
-        diffs = _edge_diffs(window)
-        for j in range(1, p + 1):
-            terms.append(gen_binomial(x, j) * diffs[j - 1])
-    return math.fsum(terms)
+    return math.fsum(terms + _newton_tail(g, p, n, x))
 
 
 _DIRECT_N0 = 8
@@ -166,6 +171,39 @@ _DIRECT_CAP = 1 << 17
 _EULERIAN_N0 = 8
 _EULERIAN_CAP = 1 << 16
 _MIN_SNAPSHOTS = 4
+
+
+def _check_series_args(x: float, tol: float) -> None:
+    if not x > 0.0:
+        raise ValueError("x must be positive")
+    if tol < 1e-12:
+        raise ValueError("tol must be >= 1e-12")
+
+
+def _extrapolate(partials: Iterator[tuple[int, float]], tol: float, shift: float,
+                 strategy: str) -> SigmaResult:
+    # Richardson-extrapolate snapshots S(n), n = n0 * 2^k, until the last
+    # consecutive-diagonal difference drops below tol or the budget runs out
+    snapshots: list[float] = []
+    for n, partial in partials:
+        snapshots.append(partial)
+        if len(snapshots) >= _MIN_SNAPSHOTS:
+            value, err = richardson_extrapolate(snapshots)
+            if err < tol:
+                return SigmaResult(value + shift, err, strategy, n)
+    value, err = richardson_extrapolate(snapshots)
+    return SigmaResult(value + shift, err, strategy, n)
+
+
+def _direct_partials(g: GFunction, p: int, xr: float) -> Iterator[tuple[int, float]]:
+    # f^p_n[g](xr) along n = 8 * 2^k, extending the pair sum incrementally
+    pair_terms = [-g.eval(xr)]
+    n = _DIRECT_N0
+    while n <= _DIRECT_CAP:
+        for k in range(len(pair_terms), n):
+            pair_terms.append(g.eval(float(k)) - g.eval(xr + k))
+        yield n, math.fsum(pair_terms + _newton_tail(g, p, n, xr))
+        n *= 2
 
 
 def sigma_direct(g: GFunction, p: int, x: float, tol: float = 1e-10) -> SigmaResult:
@@ -176,32 +214,40 @@ def sigma_direct(g: GFunction, p: int, x: float, tol: float = 1e-10) -> SigmaRes
     budget runs out before tol is met, the best value is returned with
     err_estimate > tol as the flag (no exception).
     """
-    if not x > 0.0:
-        raise ValueError("x must be positive")
-    if tol < 1e-12:
-        raise ValueError("tol must be >= 1e-12")
-    xr, shift = _reduce_argument(g, x)
-    pair_terms = [-g.eval(xr)]
-    snapshots: list[float] = []
-    k_next = 1
-    n = _DIRECT_N0
-    while n <= _DIRECT_CAP:
-        while k_next < n:
-            pair_terms.append(g.eval(float(k_next)) - g.eval(xr + k_next))
-            k_next += 1
-        tail = []
+    _check_series_args(x, tol)
+    xr, shift = _reduce_argument(g.eval, x)
+    return _extrapolate(_direct_partials(g, p, xr), tol, shift, "direct")
+
+
+def _eulerian_series(g: GFunction, f: Callable[[float], float],
+                     weight: Callable[[float, int], float], p: int, x: float,
+                     tol: float) -> SigmaResult:
+    # -f(xr) + sum_{j=1..p} w_j Delta^{j-1} g(1)
+    #        - sum_{n>=1} (f(xr+n) - sum_{j=0..p} w_j Delta^j g(n)),
+    # w_j = weight(xr, j); f = g with binomial weights sums Sigma g, and
+    # f = g^(r) with the r-th derivatives of the binomials sums D^r Sigma g
+    xr, shift = _reduce_argument(f, x)
+    w = [weight(xr, j) for j in range(p + 1)]
+
+    def partials() -> Iterator[tuple[int, float]]:
+        head = [-f(xr)]
         if p > 0:
-            window = [g.eval(float(n + i)) for i in range(p)]
+            fdiffs = _edge_diffs([g.eval(float(1 + i)) for i in range(p)])
+            head += [w[j] * fdiffs[j - 1] for j in range(1, p + 1)]
+        # a rolling window over g(n..n+p) keeps the cost at two evaluations per term
+        window = [g.eval(float(1 + i)) for i in range(p + 1)]
+        terms: list[float] = []
+        next_snap = _EULERIAN_N0
+        for n in range(1, _EULERIAN_CAP + 1):
             diffs = _edge_diffs(window)
-            tail = [gen_binomial(xr, j) * diffs[j - 1] for j in range(1, p + 1)]
-        snapshots.append(math.fsum(pair_terms + tail))
-        if len(snapshots) >= _MIN_SNAPSHOTS:
-            value, err = richardson_extrapolate(snapshots)
-            if err < tol:
-                return SigmaResult(value + shift, err, "direct", n)
-        n *= 2
-    value, err = richardson_extrapolate(snapshots)
-    return SigmaResult(value + shift, err, "direct", n // 2)
+            terms.append(-(f(xr + n) - math.fsum(w[j] * diffs[j] for j in range(p + 1))))
+            if n == next_snap:
+                yield n, math.fsum(head + terms)
+                next_snap *= 2
+            window.pop(0)
+            window.append(g.eval(float(n + 1 + p)))
+
+    return _extrapolate(partials(), tol, shift, "eulerian")
 
 
 def sigma_eulerian(g: GFunction, p: int, x: float, tol: float = 1e-10) -> SigmaResult:
@@ -210,45 +256,44 @@ def sigma_eulerian(g: GFunction, p: int, x: float, tol: float = 1e-10) -> SigmaR
     -g(x) + sum_{j=1..p} C(x,j) Delta^{j-1} g(1)
           - sum_{n>=1} (g(x+n) - sum_{j=0..p} C(x,j) Delta^j g(n)).
 
-    A rolling window over g(n..n+p) keeps the cost at two evaluations
-    per term; partial sums at N = 8 * 2^k feed the same extrapolation
-    as sigma_direct.
+    Partial sums at N = 8 * 2^k feed the same extrapolation as
+    sigma_direct.
     """
-    if not x > 0.0:
-        raise ValueError("x must be positive")
-    if tol < 1e-12:
-        raise ValueError("tol must be >= 1e-12")
-    xr, shift = _reduce_argument(g, x)
-    b = [gen_binomial(xr, j) for j in range(p + 1)]
-    head = [-g.eval(xr)]
-    if p > 0:
-        first = [g.eval(float(1 + i)) for i in range(p)]
-        fdiffs = _edge_diffs(first)
-        head += [b[j] * fdiffs[j - 1] for j in range(1, p + 1)]
-    window = [g.eval(float(1 + i)) for i in range(p + 1)]
-    terms: list[float] = []
-    snapshots: list[float] = []
-    next_snap = _EULERIAN_N0
-    n = 1
-    while n <= _EULERIAN_CAP:
-        diffs = _edge_diffs(window)
-        rho = g.eval(xr + n) - math.fsum(b[j] * diffs[j] for j in range(p + 1))
-        terms.append(-rho)
-        if n == next_snap:
-            snapshots.append(math.fsum(head + terms))
-            next_snap *= 2
-            if len(snapshots) >= _MIN_SNAPSHOTS:
-                value, err = richardson_extrapolate(snapshots)
-                if err < tol:
-                    return SigmaResult(value + shift, err, "eulerian", n)
-        window.pop(0)
-        window.append(g.eval(float(n + 1 + p)))
-        n += 1
-    if len(snapshots) >= 2:
-        value, err = richardson_extrapolate(snapshots)
-    else:
-        value, err = math.fsum(head + terms), math.inf
-    return SigmaResult(value + shift, err, "eulerian", n - 1)
+    _check_series_args(x, tol)
+    return _eulerian_series(g, g.eval, gen_binomial, p, x, tol)
+
+
+def _shifted_gregory(f: Callable[[float], float], x: float, N: int,
+                     J: int) -> tuple[float, list[float], float]:
+    # the Gregory sum sum_{n=1..J} G_n Delta^{n-1} f(x+N), the shifted
+    # values f(x+k) for k < N, and the last retained Gregory term's size
+    diffs = _edge_diffs([f(x + N + i) for i in range(J)])
+    gregory_sum = math.fsum(gregory_coeff(n) * diffs[n - 1] for n in range(1, J + 1))
+    shifted = [f(x + k) for k in range(N)]
+    return gregory_sum, shifted, abs(gregory_coeff(J) * diffs[J - 1])
+
+
+def gregory_constant(g: GFunction) -> SigmaResult:
+    """sigma[g] from the shifted Gregory form at x = 1, where Sigma g(1) = 0.
+
+    sigma[g] = sum_{k=1..N} g(k) - integral_1^{N+1} g
+               + sum_{n=1..J} G_n Delta^{n-1} g(N+1),   N = 60, J = 12:
+
+    the generalized Fontana-Mascheroni series of constants.fontana_partial,
+    moved by N steps through the difference equation so it converges fast.
+    err_estimate is the last retained Gregory term plus 4 ulp of the
+    summed magnitudes, plus the quadrature tolerance when g has no
+    antiderivative.  The value is not cached here; see sigma_gregory.
+    """
+    N, J, quad_tol = 60, 12, 1e-12
+    gregory_sum, shifted, tail = _shifted_gregory(g.eval, 1.0, N, J)
+    integral = integral_from_1(g, 1.0 + N, quad_tol)
+    value = math.fsum(shifted) - integral + gregory_sum
+    scale = math.fsum(abs(v) for v in shifted) + abs(integral)
+    err = tail + 4.0 * sys.float_info.epsilon * scale
+    if g.antideriv is None:
+        err += quad_tol
+    return SigmaResult(value, err, "gregory", N + J)
 
 
 def sigma_gregory(
@@ -262,45 +307,32 @@ def sigma_gregory(
 
     value = [sigma[g] + integral_1^{x+N} g - sum_{n=1..J} G_n
     Delta^{n-1} g(x+N)] - sum_{k<N} g(x+k), with N defaulting to the
-    smallest shift putting x+N >= 30. err_estimate is the magnitude of
-    the last retained Gregory term |G_J Delta^{J-1} g(x+N)|, a
-    deliberately conservative omitted-term heuristic (one order down).
+    smallest shift putting x+N >= 30. sigma[g] comes from g's cache,
+    filled by gregory_constant on first use. err_estimate is the
+    magnitude of the last retained Gregory term |G_J Delta^{J-1} g(x+N)|,
+    a deliberately conservative omitted-term heuristic (one order down).
     """
     if not x > 0.0:
         raise ValueError("x must be positive")
     if J < 1 or J > 12:
         raise ValueError("Gregory order J must be in 1..12")
-    if g.sigma_constant is None:
-        raise MissingSigmaConstant(
-            f"sigma[{g.name}] not cached; compute it first "
-            "(constants.asymptotic_constant)"
-        )
     if N is None:
         N = max(0, math.ceil(30.0 - x))
     if N < 0:
         raise ValueError("shift N must be >= 0")
-    y = x + N
-    window = [g.eval(y + i) for i in range(J)]
-    diffs = _edge_diffs(window)
-    gregory_sum = math.fsum(gregory_coeff(nn) * diffs[nn - 1] for nn in range(1, J + 1))
-    head = g.sigma_constant + integral_from_1(g, y) - gregory_sum
-    shift_sum = math.fsum(g.eval(x + k) for k in range(N))
-    err = abs(gregory_coeff(J) * diffs[J - 1])
-    return SigmaResult(head - shift_sum, err, "gregory", J + N)
+    if g.sigma_constant is None:
+        g.cache_sigma_constant(gregory_constant(g).value)
+    gregory_sum, shifted, err = _shifted_gregory(g.eval, x, N, J)
+    head = g.sigma_constant + integral_from_1(g, x + N) - gregory_sum
+    return SigmaResult(head - math.fsum(shifted), err, "gregory", J + N)
 
 
 def sigma(g: GFunction, x: float, tol: float = 1e-10) -> SigmaResult:
-    """Strategy dispatcher for Sigma g(x).
+    """Sigma g(x) by the shifted Gregory form (sigma_gregory at its defaults).
 
-    Gregory when sigma[g] is cached and jets exist (fast path), else
-    the Eulerian series, else the direct limit.
+    tol does not select N or J yet; callers compare err_estimate with it.
     """
-    if g.sigma_constant is not None and g.jet is not None:
-        return sigma_gregory(g, g.p, x)
-    try:
-        return sigma_eulerian(g, g.p, x, tol)
-    except (ValueError, ArithmeticError):
-        return sigma_direct(g, g.p, x, tol)
+    return sigma_gregory(g, g.p, x)
 
 
 def _binom_jet(x: float, j: int, r: int) -> list[float]:
@@ -350,59 +382,17 @@ def sigma_deriv(
         raise ValueError("x must be positive")
     if g.jet is None:
         raise ValueError(f"{g.name}: derivatives require jets")
-    if strategy == "gregory":
-        N = max(0, math.ceil(30.0 - x))
-        y = x + N
-        dr = [g.jet(y + i, r).derivative(r) for i in range(J)]
-        diffs = _edge_diffs(dr)
-        gsum = math.fsum(
-            gregory_coeff(nn) * diffs[nn - 1] for nn in range(1, J + 1)
-        )
-        lead = g.jet(y, max(1, r - 1)).derivative(r - 1)
-        shift_sum = math.fsum(
-            g.jet(x + k, r).derivative(r) for k in range(N)
-        )
-        err = abs(gregory_coeff(J) * diffs[J - 1])
-        return SigmaResult(lead - gsum - shift_sum, err, "gregory", J + N)
-    if strategy != "eulerian":
-        raise ValueError("strategy must be 'gregory' or 'eulerian'")
-
-    fact_r = math.factorial(r)
 
     def dr_of(y: float) -> float:
         return g.jet(y, r).derivative(r)
 
-    if x > 2.0:
-        m = math.ceil(x) - 2
-        xr = x - m
-        shift = math.fsum(dr_of(xr + k) for k in range(m))
-    else:
-        xr, shift = x, 0.0
-    # C^(r)(xr, j) for j = 0..p from polynomial jets
-    cr = [fact_r * _binom_jet(xr, j, r)[r] for j in range(p + 1)]
-    head = [-dr_of(xr)]
-    if p > 0:
-        first = [g.eval(float(1 + i)) for i in range(p)]
-        fdiffs = _edge_diffs(first)
-        head += [cr[j] * fdiffs[j - 1] for j in range(1, p + 1)]
-    window = [g.eval(float(1 + i)) for i in range(p + 1)]
-    terms: list[float] = []
-    snapshots: list[float] = []
-    next_snap = _EULERIAN_N0
-    n = 1
-    while n <= _EULERIAN_CAP:
-        diffs = _edge_diffs(window)
-        rho_r = dr_of(xr + n) - math.fsum(cr[j] * diffs[j] for j in range(p + 1))
-        terms.append(-rho_r)
-        if n == next_snap:
-            snapshots.append(math.fsum(head + terms))
-            next_snap *= 2
-            if len(snapshots) >= _MIN_SNAPSHOTS:
-                value, err = richardson_extrapolate(snapshots)
-                if err < tol:
-                    return SigmaResult(value + shift, err, "eulerian", n)
-        window.pop(0)
-        window.append(g.eval(float(n + 1 + p)))
-        n += 1
-    value, err = richardson_extrapolate(snapshots)
-    return SigmaResult(value + shift, err, "eulerian", n - 1)
+    if strategy == "gregory":
+        N = max(0, math.ceil(30.0 - x))
+        gregory_sum, shifted, err = _shifted_gregory(dr_of, x, N, J)
+        lead = g.jet(x + N, max(1, r - 1)).derivative(r - 1)
+        return SigmaResult(lead - gregory_sum - math.fsum(shifted), err, "gregory", J + N)
+    if strategy != "eulerian":
+        raise ValueError("strategy must be 'gregory' or 'eulerian'")
+    fact_r = math.factorial(r)
+    return _eulerian_series(g, dr_of, lambda xr, j: fact_r * _binom_jet(xr, j, r)[r],
+                            p, x, tol)

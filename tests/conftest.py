@@ -1,33 +1,26 @@
 import pytest
 
-from indefsum import asymptotic_constant, builtin
-
-
-def _ready(name: str):
-    entry = builtin(name)
-    asymptotic_constant(entry.g)
-    return entry
+from indefsum import builtin
 
 
 @pytest.fixture(scope="session")
 def ln_entry():
-    """log entry with sigma[g] cached (Gregory fast path armed)."""
-    return _ready("ln")
+    return builtin("ln")
 
 
 @pytest.fixture(scope="session")
 def psi2_entry():
-    return _ready("psi2g")
+    return builtin("psi2g")
 
 
 @pytest.fixture(scope="session")
 def xlnx_entry():
-    return _ready("xlnx")
+    return builtin("xlnx")
 
 
 @pytest.fixture(scope="session")
 def recip_entry():
-    return _ready("recip")
+    return builtin("recip")
 
 
 @pytest.fixture(scope="session")

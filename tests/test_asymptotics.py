@@ -12,7 +12,6 @@ from indefsum.asymptotics import (
     liu_formula_psi2,
     rho,
     stirling_decay_profile,
-    stirling_residual,
     wendel_residual,
 )
 from indefsum.catalog import from_expression, reference_lgamma, reference_psi2
@@ -125,10 +124,6 @@ def test_binet_rejects_unknown_mode(ln_entry):
         binet(ln_entry.g, 1, 2.0, mode="magic")
 
 
-def test_stirling_residual_is_binet_alias(ln_entry):
-    assert stirling_residual(ln_entry.g, 1, 3.0) == binet(ln_entry.g, 1, 3.0)
-
-
 def test_stirling_decay_profile_monotone(ln_entry, psi2_entry):
     for entry in (ln_entry, psi2_entry):
         prof = stirling_decay_profile(entry.g, entry.g.p)
@@ -148,7 +143,6 @@ def test_binet_vanishes_for_polynomial_inputs():
     # the remainder of an exactly summable g is identically zero
     for src, p in (("1/2", 1), ("x", 2)):
         entry = from_expression(src, p=p, shape="convex")
-        asymptotic_constant(entry.g)
         for x in (0.7, 1.0, 3.7, 12.0):
             assert binet(entry.g, p, x) == pytest.approx(0.0, abs=1e-9), src
 

@@ -78,6 +78,12 @@ def test_eval_rejects_bad_inputs():
     assert run_cli("eval", "--fn", "nope", "--x", "1")[0] == 2
     assert run_cli("eval", "--fn", "ln", "--x", "-3")[0] == 2
     assert run_cli("eval", "--fn", "ln", "--x", "abc")[0] == 2
+    assert run_cli("eval", "--fn", "ln", "--x", "nan")[0] == 2
+    assert run_cli("eval", "--fn", "ln", "--x", "1,inf")[0] == 2
+    assert run_cli("eval", "--fn", "ln", "--x", "1", "--tol", "inf")[0] == 2
+    # the value overflows double precision: a convergence failure, not inf
+    assert run_cli("eval", "--fn", "ln", "--x", "1e308")[0] == 3
+    assert run_cli("eval", "--fn", "ln", "--x", "1e308", "--format", "json")[0] == 3
 
 
 def test_eval_unreachable_tolerance_is_convergence_failure():
@@ -97,7 +103,7 @@ def test_constants_json_validates(schema):
     jsonschema.validate(payload, schema)
     assert payload["sigma"] == pytest.approx(SIGMA_LN, abs=1e-9)
     assert payload["gamma"] == pytest.approx(SIGMA_LN, abs=1e-9)
-    assert payload["method"] in ("cached", "eulerian-quadrature")
+    assert payload["method"] == "gregory"
 
 
 def test_constants_recip_is_euler_constant():
@@ -140,6 +146,18 @@ def test_verify_mult_subgrid(schema):
     jsonschema.validate(json.loads(text), schema)
 
 
+def test_verify_every_suite_reports(monkeypatch):
+    entry = cli._resolve_entry(cli.RunConfig(fn="psi2g", expr=None, p=None, shape=None,
+                                             tol=1e-9, fmt="json", seed=0))
+    for name, runner in cli._SUITES.items():
+        assert runner(entry, None, None), name
+    # a suite that checks nothing is a failure, not a pass
+    monkeypatch.setitem(cli._SUITES, "taylor", lambda entry, ms, xs: [])
+    code, text = run_cli("verify", "--fn", "psi2g", "--suite", "taylor")
+    assert code == 4
+    assert json.loads(text)["pass"] is False
+
+
 def test_verify_psi2_only_suites_are_gated():
     code, _ = run_cli("verify", "--fn", "ln", "--suite", "wallis")
     assert code == 2
@@ -173,6 +191,7 @@ def test_expand_json_validates(schema):
 def test_expand_validation():
     assert run_cli("expand", "--fn", "ln", "--x", "10", "--q", "9")[0] == 2
     assert run_cli("expand", "--fn", "ln", "--x", "-1")[0] == 2
+    assert run_cli("expand", "--fn", "ln", "--x", "nan")[0] == 2
     assert run_cli("expand", "--fn", "ln", "--x", "10", "--m", "0")[0] == 2
 
 
@@ -208,6 +227,8 @@ def test_tabulate_empty_range_and_validation():
     assert run_cli("tabulate", "--fn", "ln", "--from", "1", "--to", "2",
                    "--step", "0")[0] == 2
     assert run_cli("tabulate", "--fn", "ln", "--from", "-1", "--to", "2",
+                   "--step", "1")[0] == 2
+    assert run_cli("tabulate", "--fn", "ln", "--from", "1", "--to", "nan",
                    "--step", "1")[0] == 2
 
 

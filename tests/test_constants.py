@@ -6,6 +6,8 @@ import math
 import pytest
 
 from indefsum.catalog import builtin, from_expression
+from indefsum.numerics import integrate
+from indefsum.sigma import gregory_constant, sigma_eulerian
 from indefsum.constants import (
     asymptotic_constant,
     b2_fractional,
@@ -31,26 +33,39 @@ from _frozen import (
 
 def test_asymptotic_constant_closed_forms(all_entries):
     want = {
-        "ln": (SIGMA_LN, 1e-9),
-        "psi2g": (SIGMA_PSI2G, 1e-8),
-        "xlnx": (SIGMA_XLNX, 1e-8),
-        "recip": (EULER_GAMMA, 1e-8),
+        "ln": SIGMA_LN,
+        "psi2g": SIGMA_PSI2G,
+        "xlnx": SIGMA_XLNX,
+        "recip": EULER_GAMMA,
+        "1/x + ln(x)": EULER_GAMMA + SIGMA_LN,
+        "x*ln(x) - x + ln(2*pi)/2": SIGMA_PSI2G,
     }
-    for entry in all_entries:
-        target, tol = want[entry.name]
-        assert asymptotic_constant(entry.g) == pytest.approx(target, abs=tol), entry.name
+    # the benchmark's two expressions have no antiderivative, so the
+    # integral in the Gregory form goes through quadrature
+    exprs = ("1/x + ln(x)", "x*ln(x) - x + ln(2*pi)/2")
+    gs = [entry.g for entry in all_entries] + [from_expression(src).g for src in exprs]
+    for g in gs:
+        err = abs(asymptotic_constant(g) - want[g.name])
+        assert err <= 1e-12, (g.name, err)
+        report = constants_report(g)
+        assert report.method == "gregory"
+        assert report.err >= err, (g.name, report.err, err)
+
+
+def test_gregory_constant_agrees_with_eulerian_quadrature(ln_entry, recip_entry):
+    # the independent route: sigma[g] = integral_1^2 Sigma g, with Sigma g
+    # from the Eulerian series
+    for entry in (ln_entry, recip_entry):
+        g = entry.g
+        quad = integrate(lambda t: sigma_eulerian(g, g.p, t, tol=1e-12).value,
+                         1.0, 2.0, tol=1e-11)
+        assert quad.value == pytest.approx(gregory_constant(g).value, abs=1e-11), entry.name
 
 
 def test_asymptotic_constant_is_idempotent(ln_entry):
     first = asymptotic_constant(ln_entry.g)
     assert asymptotic_constant(ln_entry.g) == first
     assert ln_entry.g.sigma_constant == first
-
-
-def test_asymptotic_constant_rejects_unreachable_tolerance():
-    entry = from_expression("1/x", p=0, shape="concave")
-    with pytest.raises(ValueError):
-        asymptotic_constant(entry.g, tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +148,7 @@ def test_fontana_partial_lengths_and_bounds(psi2_entry):
 
 def test_fontana_partials_approach_sigma(ln_entry, psi2_entry):
     for entry, final_gap in ((ln_entry, 2e-3), (psi2_entry, 6e-4)):
-        target = entry.g.sigma_constant
+        target = asymptotic_constant(entry.g)
         gaps = [abs(s - target) for s in fontana_partial(entry.g, 1.0, 10)]
         # monotone from N = 2 on; the one-term sum may sit closer by luck
         tail = gaps[1:]
@@ -154,7 +169,7 @@ def test_fontana_psi2_tail_magnitude(psi2_entry):
 def test_constants_report_cached_route(ln_entry):
     report = constants_report(ln_entry.g)
     assert report.p == 1
-    assert report.method == "cached"
+    assert report.method == "gregory"
     assert report.sigma == pytest.approx(SIGMA_LN, abs=1e-9)
     assert report.gamma_gen == pytest.approx(SIGMA_LN, abs=1e-9)
     assert report.err >= 0.0
@@ -163,5 +178,5 @@ def test_constants_report_cached_route(ln_entry):
 def test_constants_report_fresh_route():
     entry = from_expression("1/x", p=0, shape="concave")
     report = constants_report(entry.g)
-    assert report.method == "eulerian-quadrature"
+    assert report.method == "gregory"
     assert report.sigma == pytest.approx(EULER_GAMMA, abs=1e-8)

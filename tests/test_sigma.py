@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from indefsum.catalog import builtin, from_expression
 from indefsum.sigma import (
     GFunction,
-    MissingSigmaConstant,
     f_pn,
+    gregory_constant,
     integral_from_1,
     sigma,
     sigma_deriv,
@@ -139,10 +139,12 @@ def test_sigma_gregory_psi2_normalization(psi2_entry):
     assert sigma_gregory(psi2_entry.g, 2, 1.0, N=32, J=8).value == pytest.approx(0.0, abs=1e-9)
 
 
-def test_sigma_gregory_needs_cached_constant():
+def test_sigma_gregory_fills_constant_on_first_use():
     entry = from_expression("ln(x)", p=1, shape="concave")
-    with pytest.raises(MissingSigmaConstant):
-        sigma_gregory(entry.g, 1, 2.0)
+    assert entry.g.sigma_constant is None
+    res = sigma_gregory(entry.g, 1, 2.0)
+    assert res.value == pytest.approx(0.0, abs=1e-10)
+    assert entry.g.sigma_constant == gregory_constant(entry.g).value
 
 
 def test_sigma_gregory_validation(ln_entry):
@@ -163,10 +165,10 @@ def test_sigma_dispatch_prefers_gregory_when_armed(ln_entry):
     assert res.value == pytest.approx(math.log(720.0), abs=1e-9)
 
 
-def test_sigma_dispatch_falls_back_to_eulerian():
+def test_sigma_dispatch_is_gregory_without_cached_constant():
     entry = from_expression("ln(x)", p=1, shape="concave")
     res = sigma(entry.g, 2.0)
-    assert res.strategy == "eulerian"
+    assert res.strategy == "gregory"
     assert res.value == pytest.approx(0.0, abs=1e-9)
 
 
