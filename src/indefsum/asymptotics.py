@@ -4,7 +4,9 @@ Everything in here measures how far Sigma g is from its polynomial or
 integral skeleton: rho is the raw interpolation error, the Binet function
 J is the Gregory-corrected deviation from the sigma-plus-integral main
 part (it vanishes at infinity), and the asymptotic expansion refines the
-main part with Bernoulli-number corrections.
+main part with Bernoulli-number corrections.  Differences, Gregory heads
+and the Newton interpolant come from numerics (forward_diffs,
+gregory_terms, interp_poly_eval).
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import NAMED_CONSTANTS, bernoulli_number, forward_diff, gen_binomial, \
-    gregory_coeff, integrate, richardson_extrapolate
+from .numerics import NAMED_CONSTANTS, bernoulli_number, forward_diffs, gen_binomial, \
+    gregory_terms, integrate, interp_poly_eval
 from .sigma import GFunction, integral_from_1, sigma
-from .constants import asymptotic_constant
+from .constants import asymptotic_constant, b2_kernel_tail
 
 
 @dataclass(frozen=True)
@@ -30,14 +32,12 @@ class ExpansionTerm:
 def rho(f, p: int, a: float, x: float) -> float:
     """Interpolation error rho^p_a[f](x) = f(x+a) - sum_{j<p} C(x,j) Delta^j f(a).
 
-    The subtracted polynomial interpolates f at the nodes a, a+1, ...,
-    a+p-1; x is the offset from the base point a.  f may be any callable,
-    in particular an engine Sigma g closure.
+    The subtracted Newton polynomial (numerics.interp_poly_eval)
+    interpolates f at the nodes a, a+1, ..., a+p-1; x is the offset from
+    the base point a.  f may be any callable, in particular an engine
+    Sigma g closure.  p must be >= 1.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    head = math.fsum(gen_binomial(x, j) * forward_diff(f, a, j) for j in range(p))
-    return f(x + a) - head
+    return f(x + a) - interp_poly_eval(f, a, p, a + x)
 
 
 def wendel_residual(g: GFunction, p: int | None = None, a: float = 0.5,
@@ -50,8 +50,8 @@ def wendel_residual(g: GFunction, p: int | None = None, a: float = 0.5,
     """
     if p is None:
         p = g.p
-    head = math.fsum(gen_binomial(a, j) * forward_diff(g, x, j - 1)
-                     for j in range(1, p + 1))
+    diffs = forward_diffs([g(x + i) for i in range(p)])
+    head = math.fsum(gen_binomial(a, j) * diffs[j - 1] for j in range(1, p + 1))
     return sigma(g, x + a).value - sigma(g, x).value - head
 
 
@@ -73,13 +73,12 @@ def binet(g: GFunction, p: int | None = None, x: float = 1.0,
     if p is None:
         p = g.p
     if mode == "explicit":
-        head = math.fsum(gregory_coeff(j) * forward_diff(g, x, j - 1)
-                         for j in range(1, p + 1))
+        head = math.fsum(gregory_terms(g, x, p))
         return sigma(g, x).value - asymptotic_constant(g) - integral_from_1(g, x) + head
 
     if mode == "integral":
         sig_x = sigma(g, x).value
-        diffs = [forward_diff(g, x, j - 1) for j in range(1, p + 1)]
+        diffs = forward_diffs([g(x + i) for i in range(p)])
 
         def rho_t(t: float) -> float:
             head = sig_x + math.fsum(gen_binomial(t, j) * diffs[j - 1]
@@ -148,8 +147,8 @@ def liu_formula_psi2(x: float, n_intervals: int = 2048) -> float:
     psi_-2(x) = (1/12)(6x^2-6x+1) ln x - (1/4)(3x-2)x + (x/2) ln(2 pi)
                 + ln A + (1/2) integral_0^inf B_2({t})/(x+t) dt.
 
-    The improper integral is summed over unit intervals with geometric
-    snapshots and extrapolation, as in the sigma integral representation.
+    The improper integral is constants.b2_kernel_tail, shared with the
+    sigma integral representation (which is its value at x = 1).
     """
     if x <= 0.0:
         raise ValueError("x must be positive")
@@ -159,17 +158,5 @@ def liu_formula_psi2(x: float, n_intervals: int = 2048) -> float:
         + 0.5 * x * math.log(2.0 * math.pi)
         + NAMED_CONSTANTS["ln_glaisher"]
     )
-    pieces = []
-    partials = []
-    mark = 8
-    k = 0
-    while k < n_intervals:
-        piece = integrate(lambda u, c=x + k: (u * u - u + 1.0 / 6.0) / (c + u),
-                          0.0, 1.0, tol=1e-14)
-        pieces.append(piece.value)
-        if k + 1 == mark or k + 1 == n_intervals:
-            partials.append(math.fsum(pieces))
-            mark *= 2
-        k += 1
-    tail, _ = richardson_extrapolate(partials)
+    tail, _ = b2_kernel_tail(x, n_intervals)
     return main + 0.5 * tail

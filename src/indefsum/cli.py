@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: eval | constants | verify | expand | tabulate | catalog.
-Exit codes: 0 ok, 2 input/parse error (NaN and inf included), 3
-convergence failure (rows are still emitted) or a result that is not
-finite, 4 identity violation or a suite that checked nothing.  Output
-is CSV or JSON, floats rendered by repr so identical inputs (and seed)
-give byte-identical bytes on any platform.
+Exit codes: 0 ok, 2 input/parse error or out-of-range value (NaN and
+inf included), 3 convergence failure (rows are still emitted), a result
+that is not finite or an arithmetic fault, 4 identity violation or a
+suite that checked nothing.  Output is CSV or JSON, floats rendered by
+repr so identical inputs (and seed) give byte-identical bytes on any
+platform.
 """
 
 from __future__ import annotations
@@ -198,37 +199,28 @@ def cmd_constants(cfg: RunConfig, out) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
+def _sides_report(identity: str, points: list, sides: list, tol: float):
+    # one (report, tol) pair whose residuals are lhs - rhs of each (lhs, rhs)
+    residuals = [lhs - rhs for lhs, rhs in sides]
+    return identities.make_report(identity, points, residuals, [list(s) for s in sides]), tol
+
+
 def _suite_raabe(entry, ms, xs):
     xs = xs or [0.5, 1.0, 2.0, 5.0, 10.0]
     sides = [identities.raabe_sides(entry.g, entry.g.p, x) for x in xs]
-    residuals = [lhs - rhs for lhs, rhs in sides]
-    return [(identities.make_report("raabe", xs, residuals, [list(s) for s in sides]),
-             1e-7)]
+    return [_sides_report("raabe", xs, sides, 1e-7)]
 
 
 def _suite_mult(entry, ms, xs):
     ms = ms or [1, 2, 3, 5]
     xs = xs or [0.3, 1.0, 2.7, 8.0]
-    points, residuals, sides = [], [], []
-    for m in ms:
-        for x in xs:
-            lhs, rhs = identities.mult_sides(entry.g, entry.g.p, m, x)
-            points.append([m, x])
-            residuals.append(lhs - rhs)
-            sides.append([lhs, rhs])
-    reports = [(identities.make_report("mult", points, residuals, sides), 1e-7)]
-    if entry.name == "psi2g":
-        pts, res, sd = [], [], []
-        for m in ms:
-            if m >= 2:
-                engine, closed = identities.mult_finite_sum_psi2(m)
-                pts.append(m)
-                res.append(engine - closed)
-                sd.append([engine, closed])
-        if pts:
-            reports.append(
-                (identities.make_report("mult-finite-sum", pts, res, sd), 1e-7)
-            )
+    points = [[m, x] for m in ms for x in xs]
+    sides = [identities.mult_sides(entry.g, entry.g.p, m, x) for m, x in points]
+    reports = [_sides_report("mult", points, sides, 1e-7)]
+    finite = [m for m in ms if m >= 2]
+    if entry.name == "psi2g" and finite:
+        sides = [identities.mult_finite_sum_psi2(m) for m in finite]
+        reports.append(_sides_report("mult-finite-sum", finite, sides, 1e-7))
     return reports
 
 
@@ -290,53 +282,34 @@ def _suite_stirling(entry, ms, xs):
 def _suite_webster(entry, ms, xs):
     ms = ms or [1, 2, 5]
     xs = xs or [0.7, 1.0, 2.0]
-    points, residuals, sides = [], [], []
-    for m in ms:
-        for x in xs:
-            lhs, rhs = identities.webster_sides(m, x)
-            points.append([m, x])
-            residuals.append(lhs - rhs)
-            sides.append([lhs, rhs])
-    return [(identities.make_report("webster", points, residuals, sides), 1e-7)]
+    points = [[m, x] for m in ms for x in xs]
+    sides = [identities.webster_sides(m, x) for m, x in points]
+    return [_sides_report("webster", points, sides, 1e-7)]
 
 
 def _suite_wallis(entry, ms, xs):
     first, second = identities.wallis_extrapolated(10_000)
     lim1 = named_constant("ln_2") / 12.0 - 3.0 * named_constant("ln_glaisher")
     lim2 = named_constant("ln_glaisher") - named_constant("ln_2") / 12.0
-    report = identities.make_report(
-        "wallis", ["first", "second"],
-        [first - lim1, second - lim2],
-        [[first, lim1], [second, lim2]],
-    )
-    return [(report, 1e-3)]
+    return [_sides_report("wallis", ["first", "second"], [(first, lim1), (second, lim2)],
+                          1e-3)]
 
 
 def _suite_reflection(entry, ms, xs):
     xs = xs or [0.1, 0.25, 0.5, 0.75, 0.9]
     sides = [identities.reflection_sides_psi2(x) for x in xs]
-    residuals = [lhs - rhs for lhs, rhs in sides]
-    return [(identities.make_report("reflection", xs, residuals,
-                                    [list(s) for s in sides]), 1e-7)]
+    return [_sides_report("reflection", xs, sides, 1e-7)]
 
 
 def _suite_taylor(entry, ms, xs):
     xs = xs or [-0.5, -0.25, 0.25, 0.5]
-    points, residuals, sides = [], [], []
-    for x in xs:
-        series = identities.taylor_psi2(x, 60)
-        engine = identities.psi2_value(1.0 + x)
-        points.append(x)
-        residuals.append(series - engine)
-        sides.append([series, engine])
-    return [(identities.make_report("taylor", points, residuals, sides), 1e-9)]
+    sides = [(identities.taylor_psi2(x, 60), identities.psi2_value(1.0 + x)) for x in xs]
+    return [_sides_report("taylor", xs, sides, 1e-9)]
 
 
 def _suite_euler_series(entry, ms, xs):
-    partial = identities.euler_series_analogue(50)
-    closed = identities.euler_series_closed()
-    return [(identities.make_report("euler-series", [50], [partial - closed],
-                                    [[partial, closed]]), 1e-12)]
+    sides = [(identities.euler_series_analogue(50), identities.euler_series_closed())]
+    return [_sides_report("euler-series", [50], sides, 1e-12)]
 
 
 def _suite_inequalities(entry, ms, xs):
@@ -638,16 +611,10 @@ def run(argv=None, out=None) -> int:
         if args.command == "tabulate":
             return cmd_tabulate(cfg, args.start, args.stop, args.step, out)
         raise CliInputError(f"unknown command {args.command!r}")
-    except CliInputError as exc:
+    except ValueError as exc:  # CliInputError, ExprError, ShapeError, out-of-range values
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (QuadratureError, OverflowError) as exc:
+    except (QuadratureError, ArithmeticError) as exc:  # OverflowError, ZeroDivisionError
         print(f"error: convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
 

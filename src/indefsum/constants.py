@@ -3,10 +3,11 @@
 sigma[g] is the definite integral of Sigma g over [1, 2]; it is computed
 as the shifted Gregory form at x = 1 (sigma.gregory_constant), where
 Sigma g(1) = 0 leaves the constant alone.  gamma[g] peels off the
-Gregory head sum_{j<=p} G_j Delta^{j-1} g(1).  Both get an independent
-cross-check route: a piecewise interpolation-error integral for gamma,
-and a Bernoulli-kernel integral representation for the
-x ln x - x + ln(2 pi)/2 entry's sigma.
+Gregory head sum_{j<=p} G_j Delta^{j-1} g(1) (numerics.gregory_terms).
+Both get an independent cross-check route: a piecewise
+interpolation-error integral for gamma, and a Bernoulli-kernel integral
+representation for the x ln x - x + ln(2 pi)/2 entry's sigma, whose
+B_2({t}) tail (b2_kernel_tail) is shared with asymptotics.liu_formula_psi2.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .numerics import gregory_coeff, forward_diff, integrate, interp_poly_eval, \
-    richardson_extrapolate
+from .numerics import gregory_terms, integrate, interp_poly_eval, richardson_extrapolate
 from .shape import ShapeError, decays_at
 from .sigma import GFunction, gregory_constant
 
@@ -42,10 +42,6 @@ def asymptotic_constant(g: GFunction, p: int | None = None) -> float:
     return g.sigma_constant
 
 
-def _gregory_head(g, p: int, x: float = 1.0) -> float:
-    return math.fsum(gregory_coeff(j) * forward_diff(g, x, j - 1) for j in range(1, p + 1))
-
-
 def euler_constant_gen(g: GFunction, p: int | None = None, unsafe: bool = False) -> float:
     """gamma[g] = sigma[g] - sum_{j=1}^p G_j Delta^{j-1} g(1).
 
@@ -61,7 +57,7 @@ def euler_constant_gen(g: GFunction, p: int | None = None, unsafe: bool = False)
                 f"{g.name}: p = {p} is not minimal (differences already decay at {p - 1}); "
                 "pass unsafe=True to override"
             )
-    return asymptotic_constant(g, p) - _gregory_head(g, p)
+    return asymptotic_constant(g, p) - math.fsum(gregory_terms(g, 1.0, p))
 
 
 def gamma_piecewise_interp(g, p: int, N: int = 10_000) -> float:
@@ -95,31 +91,39 @@ def b2_fractional(t: float) -> float:
     return u * u - u + 1.0 / 6.0
 
 
-def sigma_integral_rep_psi2(N: int = 2048, with_partials: bool = False):
-    """sigma for g(x) = x ln x - x + ln(2 pi)/2 by the Bernoulli-kernel route.
+def b2_kernel_tail(x: float, n: int) -> tuple[float, list[float]]:
+    """integral_0^inf B_2({t})/(x+t) dt, summed over n unit intervals.
 
-    sigma = g(1)/2 - (1/2) integral_1^inf B_2({t})/t dt, the improper
-    integral summed over unit intervals with geometric extrapolation.
-    Partial values decrease monotonically to the limit (each unit
-    integral is positive).  Returns the extrapolated value, or
-    (value, partials) when with_partials is set.
+    Partial sums are snapshot at 8, 16, 32, ... intervals and at n, and
+    extrapolated; returns (value, snapshots).  Each unit integral is
+    positive, so the snapshots increase monotonically to the limit.
     """
-    g1 = 0.5 * math.log(2.0 * math.pi) - 1.0
     pieces = []
     partials = []
     mark = 8
-    k = 1
-    while k <= N:
-        piece = integrate(lambda u, c=float(k): (u * u - u + 1.0 / 6.0) / (c + u),
-                          0.0, 1.0, tol=1e-14)
+    for k in range(n):
+        piece = integrate(lambda u, c=x + k: b2_fractional(u) / (c + u), 0.0, 1.0, tol=1e-14)
         pieces.append(piece.value)
-        if k == mark or k == N:
-            partials.append(0.5 * g1 - 0.5 * math.fsum(pieces))
+        if k + 1 == mark or k + 1 == n:
+            partials.append(math.fsum(pieces))
             mark *= 2
-        k += 1
     value, _ = richardson_extrapolate(partials)
+    return value, partials
+
+
+def sigma_integral_rep_psi2(N: int = 2048, with_partials: bool = False):
+    """sigma for g(x) = x ln x - x + ln(2 pi)/2 by the Bernoulli-kernel route.
+
+    sigma = g(1)/2 - (1/2) integral_1^inf B_2({t})/t dt, the kernel tail
+    at x = 1 over N unit intervals.  Partial values decrease
+    monotonically to the limit.  Returns the extrapolated value, or
+    (value, partials) when with_partials is set.
+    """
+    g1 = 0.5 * math.log(2.0 * math.pi) - 1.0
+    tail, tails = b2_kernel_tail(1.0, N)
+    value = 0.5 * g1 - 0.5 * tail
     if with_partials:
-        return value, partials
+        return value, [0.5 * g1 - 0.5 * t for t in tails]
     return value
 
 
@@ -133,8 +137,7 @@ def fontana_partial(g, x: float = 1.0, N: int = 10) -> list[float]:
     """
     if not 1 <= N <= 12:
         raise ValueError("N must be in 1..12")
-    terms = [gregory_coeff(n) * forward_diff(g, x, n - 1) for n in range(1, N + 1)]
-    return list(itertools.accumulate(terms))
+    return list(itertools.accumulate(gregory_terms(g, x, N)))
 
 
 def constants_report(g: GFunction, p: int | None = None) -> ConstantsReport:
@@ -146,6 +149,6 @@ def constants_report(g: GFunction, p: int | None = None) -> ConstantsReport:
         p = g.p
     res = gregory_constant(g)
     sig = g.cache_sigma_constant(res.value)
-    gam = sig - _gregory_head(g, p)
+    gam = sig - math.fsum(gregory_terms(g, 1.0, p))
     return ConstantsReport(p=p, sigma=sig, gamma_gen=gam, err=res.err_estimate,
                            method=res.strategy)

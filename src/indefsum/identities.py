@@ -119,13 +119,7 @@ def mult_sides(g: GFunction, p: int | None = None, m: int = 1,
     lhs = math.fsum(sigma(g, (x + j) / m).value for j in range(m))
     gm = _scaled_entry(g, m)
     sig_gm = asymptotic_constant(gm)
-    if m == 1:
-        integral = 0.0
-    elif gm.antideriv is not None:
-        integral = gm.antideriv(float(m))
-    else:
-        integral = integrate(gm.eval, 1.0, float(m), tol=1e-12).value
-    rhs = sigma(gm, x).value + m * sig_g - sig_gm - integral
+    rhs = sigma(gm, x).value + m * sig_g - sig_gm - integral_from_1(gm, float(m))
     return lhs, rhs
 
 

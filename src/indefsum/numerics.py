@@ -1,8 +1,9 @@
 """Shared numeric kernels.
 
 Generalized binomials, forward and divided differences, Gregory
-coefficients, Bernoulli numbers, integer zeta values, interpolation
-polynomial evaluation, adaptive quadrature, and sequence extrapolation.
+coefficients and the terms of Gregory's formula, Bernoulli numbers,
+integer zeta values, interpolation polynomial evaluation, adaptive
+quadrature, and sequence extrapolation.
 Everything here is scalar, pure, and deterministic.
 """
 
@@ -39,22 +40,19 @@ def gen_binomial(x: float, j: int) -> float:
     return acc
 
 
-def forward_diff(g: Callable[[float], float], x: float, j: int) -> float:
-    """Forward difference Delta^j g(x) = sum_i (-1)^(j-i) C(j,i) g(x+i).
+def forward_diffs(values: Sequence[float]) -> list[float]:
+    """Forward differences Delta^0 .. Delta^k at the left end of a unit-step window.
 
-    Direct binomial-weighted summation (compensated); j is capped at 12,
-    which covers every Gregory-series truncation used downstream.
+    values holds g(x), g(x+1), ..., g(x+k); the result is [Delta^0 g(x),
+    ..., Delta^k g(x)], by repeated subtraction of neighbours.  An empty
+    window gives an empty list (an order-0 head has no differences).
     """
-    if j < 0 or j > 12:
-        raise ValueError("difference order j must be in 0..12")
-    if j == 0:
-        return g(x)
-    sign = -1.0 if j % 2 else 1.0
-    terms = []
-    for i in range(j + 1):
-        terms.append(sign * math.comb(j, i) * g(x + i))
-        sign = -sign
-    return math.fsum(terms)
+    out = []
+    level = list(values)
+    while level:
+        out.append(level[0])
+        level = [level[i + 1] - level[i] for i in range(len(level) - 1)]
+    return out
 
 
 def divided_difference(f: Callable[[float], float], nodes: Sequence[float]) -> float:
@@ -112,6 +110,16 @@ def gregory_coeff_fraction(j: int) -> Fraction:
     if j < 1 or j > 30:
         raise ValueError("Gregory coefficient order must be in 1..30")
     return _gregory_fraction(j)
+
+
+def gregory_terms(f: Callable[[float], float], x: float, J: int) -> list[float]:
+    """The J Gregory terms G_n Delta^{n-1} f(x), n = 1..J.
+
+    Their sum is the head of Gregory's formula; the differences come from
+    the one window f(x), ..., f(x+J-1), so the head costs J evaluations.
+    """
+    diffs = forward_diffs([f(x + i) for i in range(J)])
+    return [gregory_coeff(n) * d for n, d in enumerate(diffs, 1)]
 
 
 @lru_cache(maxsize=None)

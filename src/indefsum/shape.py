@@ -14,7 +14,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .numerics import divided_difference, forward_diff
+from .numerics import divided_difference, forward_diffs
 
 
 class ShapeError(ValueError):
@@ -45,7 +45,8 @@ _WINDOW_SPAN = 64.0
 
 
 def _tail_samples(g, p: int, n_max: int) -> list[float]:
-    return [abs(forward_diff(g, float(n), p)) for n in (n_max // 4, n_max // 2, n_max)]
+    return [abs(forward_diffs([g(float(n + i)) for i in range(p + 1)])[p])
+            for n in (n_max // 4, n_max // 2, n_max)]
 
 
 def decays_at(g, p: int, n_max: int = 4096, eta: float = 1e-3) -> bool:

@@ -9,7 +9,8 @@ Since Sigma g(1) = 0, the same form at x = 1 yields the asymptotic
 constant sigma[g] itself (gregory_constant), so sigma_gregory needs no
 prepared input: it fills g's cache on first use, and sigma() always
 dispatches to it.  sigma_deriv() differentiates the form termwise, where
-the constant drops out.
+the constant drops out.  The Gregory terms come from numerics.gregory_terms
+and every unit-step difference from numerics.forward_diffs.
 
 Two independent routes are kept as cross-checks:
 
@@ -34,8 +35,9 @@ from typing import Callable, Iterator, Optional
 
 from .exprlang import Jet
 from .numerics import (
+    forward_diffs,
     gen_binomial,
-    gregory_coeff,
+    gregory_terms,
     integrate,
     richardson_extrapolate,
 )
@@ -120,16 +122,6 @@ def integral_from_1(g: GFunction, y: float, tol: float = 1e-12) -> float:
     return -integrate(g.eval, y, 1.0, tol).value
 
 
-def _edge_diffs(window: list[float]) -> list[float]:
-    # forward differences anchored at the window's left end, orders 0..len-1
-    out = [window[0]]
-    level = window
-    for _ in range(len(window) - 1):
-        level = [level[i + 1] - level[i] for i in range(len(level) - 1)]
-        out.append(level[0])
-    return out
-
-
 def _reduce_argument(f: Callable[[float], float], x: float) -> tuple[float, float]:
     # for x > 2 rewrite Sigma f(x) = Sigma f(xr) + sum_{k<m} f(xr+k),
     # xr = x - m in (1, 2]; exact difference-equation bookkeeping
@@ -143,9 +135,7 @@ def _reduce_argument(f: Callable[[float], float], x: float) -> tuple[float, floa
 
 def _newton_tail(g: GFunction, p: int, n: int, x: float) -> list[float]:
     # C(x, j) Delta^{j-1} g(n) for j = 1..p: the interpolation head of f_pn
-    if p == 0:
-        return []
-    diffs = _edge_diffs([g.eval(float(n + i)) for i in range(p)])
+    diffs = forward_diffs([g.eval(float(n + i)) for i in range(p)])
     return [gen_binomial(x, j) * diffs[j - 1] for j in range(1, p + 1)]
 
 
@@ -230,16 +220,14 @@ def _eulerian_series(g: GFunction, f: Callable[[float], float],
     w = [weight(xr, j) for j in range(p + 1)]
 
     def partials() -> Iterator[tuple[int, float]]:
-        head = [-f(xr)]
-        if p > 0:
-            fdiffs = _edge_diffs([g.eval(float(1 + i)) for i in range(p)])
-            head += [w[j] * fdiffs[j - 1] for j in range(1, p + 1)]
+        fdiffs = forward_diffs([g.eval(float(1 + i)) for i in range(p)])
+        head = [-f(xr)] + [w[j] * fdiffs[j - 1] for j in range(1, p + 1)]
         # a rolling window over g(n..n+p) keeps the cost at two evaluations per term
         window = [g.eval(float(1 + i)) for i in range(p + 1)]
         terms: list[float] = []
         next_snap = _EULERIAN_N0
         for n in range(1, _EULERIAN_CAP + 1):
-            diffs = _edge_diffs(window)
+            diffs = forward_diffs(window)
             terms.append(-(f(xr + n) - math.fsum(w[j] * diffs[j] for j in range(p + 1))))
             if n == next_snap:
                 yield n, math.fsum(head + terms)
@@ -263,16 +251,6 @@ def sigma_eulerian(g: GFunction, p: int, x: float, tol: float = 1e-10) -> SigmaR
     return _eulerian_series(g, g.eval, gen_binomial, p, x, tol)
 
 
-def _shifted_gregory(f: Callable[[float], float], x: float, N: int,
-                     J: int) -> tuple[float, list[float], float]:
-    # the Gregory sum sum_{n=1..J} G_n Delta^{n-1} f(x+N), the shifted
-    # values f(x+k) for k < N, and the last retained Gregory term's size
-    diffs = _edge_diffs([f(x + N + i) for i in range(J)])
-    gregory_sum = math.fsum(gregory_coeff(n) * diffs[n - 1] for n in range(1, J + 1))
-    shifted = [f(x + k) for k in range(N)]
-    return gregory_sum, shifted, abs(gregory_coeff(J) * diffs[J - 1])
-
-
 def gregory_constant(g: GFunction) -> SigmaResult:
     """sigma[g] from the shifted Gregory form at x = 1, where Sigma g(1) = 0.
 
@@ -286,11 +264,12 @@ def gregory_constant(g: GFunction) -> SigmaResult:
     antiderivative.  The value is not cached here; see sigma_gregory.
     """
     N, J, quad_tol = 60, 12, 1e-12
-    gregory_sum, shifted, tail = _shifted_gregory(g.eval, 1.0, N, J)
+    terms = gregory_terms(g.eval, 1.0 + N, J)
+    shifted = [g.eval(1.0 + k) for k in range(N)]
     integral = integral_from_1(g, 1.0 + N, quad_tol)
-    value = math.fsum(shifted) - integral + gregory_sum
+    value = math.fsum(shifted) - integral + math.fsum(terms)
     scale = math.fsum(abs(v) for v in shifted) + abs(integral)
-    err = tail + 4.0 * sys.float_info.epsilon * scale
+    err = abs(terms[-1]) + 4.0 * sys.float_info.epsilon * scale
     if g.antideriv is None:
         err += quad_tol
     return SigmaResult(value, err, "gregory", N + J)
@@ -322,9 +301,10 @@ def sigma_gregory(
         raise ValueError("shift N must be >= 0")
     if g.sigma_constant is None:
         g.cache_sigma_constant(gregory_constant(g).value)
-    gregory_sum, shifted, err = _shifted_gregory(g.eval, x, N, J)
-    head = g.sigma_constant + integral_from_1(g, x + N) - gregory_sum
-    return SigmaResult(head - math.fsum(shifted), err, "gregory", J + N)
+    terms = gregory_terms(g.eval, x + N, J)
+    shifted = [g.eval(x + k) for k in range(N)]
+    head = g.sigma_constant + integral_from_1(g, x + N) - math.fsum(terms)
+    return SigmaResult(head - math.fsum(shifted), abs(terms[-1]), "gregory", J + N)
 
 
 def sigma(g: GFunction, x: float, tol: float = 1e-10) -> SigmaResult:
@@ -388,9 +368,11 @@ def sigma_deriv(
 
     if strategy == "gregory":
         N = max(0, math.ceil(30.0 - x))
-        gregory_sum, shifted, err = _shifted_gregory(dr_of, x, N, J)
+        terms = gregory_terms(dr_of, x + N, J)
+        shifted = [dr_of(x + k) for k in range(N)]
         lead = g.jet(x + N, max(1, r - 1)).derivative(r - 1)
-        return SigmaResult(lead - gregory_sum - math.fsum(shifted), err, "gregory", J + N)
+        return SigmaResult(lead - math.fsum(terms) - math.fsum(shifted), abs(terms[-1]),
+                           "gregory", J + N)
     if strategy != "eulerian":
         raise ValueError("strategy must be 'gregory' or 'eulerian'")
     fact_r = math.factorial(r)

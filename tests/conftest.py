@@ -1,6 +1,6 @@
 import pytest
 
-from indefsum import builtin
+from indefsum.catalog import builtin
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from indefsum.asymptotics import (
 )
 from indefsum.catalog import from_expression, reference_lgamma, reference_psi2
 from indefsum.constants import asymptotic_constant, euler_constant_gen
-from indefsum.numerics import forward_diff
+from indefsum.numerics import forward_diffs
 from indefsum.sigma import integral_from_1, sigma
 
 from _frozen import LN_2PI, LN_GLAISHER, SIGMA_LN
@@ -63,8 +63,8 @@ def test_wendel_residual_integer_step_is_difference_equation(ln_entry):
         assert wendel_residual(ln_entry.g, 1, 1.0, x) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_wendel_residual_decays_along_doublings(ln_entry, psi2_entry):
-    for entry in (ln_entry, psi2_entry):
+def test_wendel_residual_decays_along_doublings(ln_entry, psi2_entry, recip_entry):
+    for entry in (ln_entry, psi2_entry, recip_entry):
         for a in (0.25, 1.5, 3.0):
             seq = [abs(wendel_residual(entry.g, entry.g.p, a, float(2 ** k)))
                    for k in range(4, 9)]
@@ -106,8 +106,8 @@ def test_binet_psi2_matches_closed_form(psi2_entry, x):
 
 
 @pytest.mark.parametrize("x", [1.0, 2.5, 10.0])
-def test_binet_modes_agree(ln_entry, psi2_entry, x):
-    for entry in (ln_entry, psi2_entry):
+def test_binet_modes_agree(ln_entry, psi2_entry, recip_entry, x):
+    for entry in (ln_entry, psi2_entry, recip_entry):
         explicit = binet(entry.g, entry.g.p, x, mode="explicit")
         integral = binet(entry.g, entry.g.p, x, mode="integral")
         assert explicit == pytest.approx(integral, abs=1e-7), entry.name
@@ -136,7 +136,7 @@ def test_stirling_chain_bound_psi2(psi2_entry):
     for x in (1.0, 5.0, 20.0, 100.0):
         neg_j3 = -binet(g, 2, x)
         assert neg_j3 >= -1e-10, x
-        assert neg_j3 <= (5.0 / 12.0) * forward_diff(g, x, 2) + 1e-10, x
+        assert neg_j3 <= (5.0 / 12.0) * forward_diffs([g(x + i) for i in range(3)])[2] + 1e-10, x
 
 
 def test_binet_vanishes_for_polynomial_inputs():

@@ -84,6 +84,11 @@ def test_eval_rejects_bad_inputs():
     # the value overflows double precision: a convergence failure, not inf
     assert run_cli("eval", "--fn", "ln", "--x", "1e308")[0] == 3
     assert run_cli("eval", "--fn", "ln", "--x", "1e308", "--format", "json")[0] == 3
+    # out-of-range overrides are bad input, not a traceback
+    assert run_cli("eval", "--fn", "ln", "--p", "-1", "--x", "2")[0] == 2
+    assert run_cli("tabulate", "--fn", "ln", "--from", "1", "--to", "2", "--step", "0.5",
+                   "--p", "-3")[0] == 2
+    assert run_cli("constants", "--fn", "ln", "--p", "100")[0] == 2
 
 
 def test_eval_unreachable_tolerance_is_convergence_failure():
@@ -163,6 +168,16 @@ def test_verify_psi2_only_suites_are_gated():
     assert code == 2
     code, _ = run_cli("verify", "--fn", "ln", "--suite", "reflection")
     assert code == 2
+    # grid values outside a suite's domain are bad input, not a traceback
+    for argv in (["--fn", "psi2g", "--suite", "mult", "--m", "0"],
+                 ["--fn", "psi2g", "--suite", "webster", "--m", "0"],
+                 ["--fn", "ln", "--suite", "raabe", "--x", "0"],
+                 ["--fn", "ln", "--suite", "raabe", "--x", "-1"],
+                 ["--fn", "ln", "--suite", "raabe", "--x", "1e308"],
+                 ["--fn", "psi2g", "--suite", "reflection", "--x", "1.5"],
+                 ["--fn", "psi2g", "--suite", "taylor", "--x", "0.9"],
+                 ["--fn", "psi2g", "--suite", "stirling", "--x", "0"]):
+        assert run_cli("verify", *argv)[0] == 2, argv
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +208,8 @@ def test_expand_validation():
     assert run_cli("expand", "--fn", "ln", "--x", "-1")[0] == 2
     assert run_cli("expand", "--fn", "ln", "--x", "nan")[0] == 2
     assert run_cli("expand", "--fn", "ln", "--x", "10", "--m", "0")[0] == 2
+    # x^k underflows to 0 in the jet of 1/x: an arithmetic failure, exit 3
+    assert run_cli("expand", "--fn", "recip", "--x", "1e-300", "--q", "8")[0] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from indefsum.numerics import (
     bernoulli_fraction,
     bernoulli_number,
     divided_difference,
-    forward_diff,
+    forward_diffs,
     gen_binomial,
     gregory_coeff,
     gregory_coeff_fraction,
@@ -51,15 +51,18 @@ def test_gen_binomial_rejects_negative_order():
 # forward differences and divided differences
 
 def test_forward_diff_log():
-    assert forward_diff(math.log, 1.0, 0) == 0.0
-    assert forward_diff(math.log, 1.0, 1) == pytest.approx(math.log(2.0), abs=1e-15)
-    assert forward_diff(math.log, 2.0, 2) == pytest.approx(math.log(8.0 / 9.0), abs=1e-14)
+    assert forward_diffs([math.log(1.0)])[0] == 0.0
+    assert forward_diffs([math.log(1.0), math.log(2.0)])[1] == pytest.approx(
+        math.log(2.0), abs=1e-15)
+    assert forward_diffs([math.log(2.0), math.log(3.0), math.log(4.0)])[2] == pytest.approx(
+        math.log(8.0 / 9.0), abs=1e-14)
 
 
 def test_forward_diff_tail_tracks_log():
     # Delta(x ln x - x + c)(x) = ln x + O(1/x)
     x = 1.0e6
-    assert forward_diff(psi2_integrand, x, 1) - math.log(x) == pytest.approx(0.0, abs=1e-5)
+    delta = forward_diffs([psi2_integrand(x), psi2_integrand(x + 1.0)])[1]
+    assert delta - math.log(x) == pytest.approx(0.0, abs=1e-5)
 
 
 def test_divided_difference_log_and_quadratics():
@@ -86,7 +89,7 @@ def test_divided_difference_symmetric_in_nodes(nodes):
 def test_forward_diff_is_scaled_divided_difference(j):
     x = 1.7
     nodes = [x + i for i in range(j + 1)]
-    lhs = forward_diff(math.log, x, j)
+    lhs = forward_diffs([math.log(t) for t in nodes])[j]
     rhs = divided_difference(math.log, nodes) * math.factorial(j)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
