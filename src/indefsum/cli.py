@@ -372,6 +372,9 @@ def cmd_verify(cfg: RunConfig, suite: str, ms: Optional[list[int]],
         if name in _PSI2_ONLY_SUITES and entry.name != "psi2g":
             raise CliInputError(f"suite {name!r} requires --fn psi2g")
         collected += _SUITES[name](entry, ms, xs)
+    for rep, _ in collected:
+        if not all(math.isfinite(r) for r in rep.residuals):
+            raise ArithmeticError(f"{rep.identity}: a residual is not finite")
     # a suite that checked nothing is not a pass
     all_pass = bool(collected) and all(rep.max_abs <= tol for rep, tol in collected)
     if cfg.fmt == "json":

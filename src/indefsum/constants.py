@@ -143,12 +143,13 @@ def fontana_partial(g, x: float = 1.0, N: int = 10) -> list[float]:
 def constants_report(g: GFunction, p: int | None = None) -> ConstantsReport:
     """Assemble (p, sigma, gamma, err) with the method that produced sigma.
 
-    err is gregory_constant's bound on the error of sigma.
+    err is gregory_constant's bound on the error of sigma; gamma comes from
+    euler_constant_gen, so a non-minimal p raises ShapeError.
     """
     if p is None:
         p = g.p
     res = gregory_constant(g)
     sig = g.cache_sigma_constant(res.value)
-    gam = sig - math.fsum(gregory_terms(g, 1.0, p))
+    gam = euler_constant_gen(g, p)
     return ConstantsReport(p=p, sigma=sig, gamma_gen=gam, err=res.err_estimate,
                            method=res.strategy)

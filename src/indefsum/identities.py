@@ -174,6 +174,29 @@ def webster_check(m: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 # Wallis
 
+def _wallis_partials(n: int, ms: tuple[int, ...]) -> list[tuple[float, float]]:
+    # the partial sums up to 2m for each m <= n in ms: fsums over prefixes of one term list
+    g = builtin("psi2g").g.eval
+    sign = 1.0
+    gterms = []
+    pterms = []
+    for k in range(1, 2 * n + 1):
+        gterms.append(sign * g(float(k)))
+        pterms.append(sign * psi2_value(float(k)))
+        sign = -sign
+    out = []
+    for m in ms:
+        h1 = (m + 0.25) * math.log(m) - m * (1.0 - math.log(2.0))
+        h2 = (
+            m * m * math.log(2.0 * m)
+            - 1.5 * m * m
+            + 0.5 * m * math.log(2.0 * math.pi)
+            - math.log(m) / 12.0
+        )
+        out.append((h1 + math.fsum(gterms[:2 * m]), h2 + math.fsum(pterms[:2 * m])))
+    return out
+
+
 def wallis_partial_psi2(n: int) -> tuple[float, float]:
     """Normalized alternating partial sums of g and psi_-2 up to 2n.
 
@@ -183,30 +206,18 @@ def wallis_partial_psi2(n: int) -> tuple[float, float]:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    g = builtin("psi2g").g.eval
-    h1 = (n + 0.25) * math.log(n) - n * (1.0 - math.log(2.0))
-    h2 = (
-        n * n * math.log(2.0 * n)
-        - 1.5 * n * n
-        + 0.5 * n * math.log(2.0 * math.pi)
-        - math.log(n) / 12.0
-    )
-    sign = 1.0
-    gsum = []
-    psum = []
-    for k in range(1, 2 * n + 1):
-        gsum.append(sign * g(float(k)))
-        psum.append(sign * psi2_value(float(k)))
-        sign = -sign
-    return h1 + math.fsum(gsum), h2 + math.fsum(psum)
+    return _wallis_partials(n, (n,))[0]
 
 
 def wallis_extrapolated(n: int) -> tuple[float, float]:
-    """One Richardson step over (n/2, n); removes the O(1/n) error term."""
+    """One Richardson step over (n/2, n); removes the O(1/n) error term.
+
+    Both partials come from one pass over the terms up to 2n and equal
+    wallis_partial_psi2(n // 2) and wallis_partial_psi2(n) bit for bit.
+    """
     if n < 4:
         raise ValueError("n must be >= 4")
-    half = wallis_partial_psi2(n // 2)
-    full = wallis_partial_psi2(n)
+    half, full = _wallis_partials(n, (n // 2, n))
     return 2.0 * full[0] - half[0], 2.0 * full[1] - half[1]
 
 

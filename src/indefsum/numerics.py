@@ -44,14 +44,16 @@ def forward_diffs(values: Sequence[float]) -> list[float]:
     """Forward differences Delta^0 .. Delta^k at the left end of a unit-step window.
 
     values holds g(x), g(x+1), ..., g(x+k); the result is [Delta^0 g(x),
-    ..., Delta^k g(x)], by repeated subtraction of neighbours.  An empty
-    window gives an empty list (an order-0 head has no differences).
+    ..., Delta^k g(x)], by repeated subtraction of neighbours in place
+    (level[i] = level[i+1] - level[i]).  An empty window gives an empty
+    list (an order-0 head has no differences).
     """
-    out = []
     level = list(values)
-    while level:
+    out = []
+    for top in range(len(level) - 1, -1, -1):
         out.append(level[0])
-        level = [level[i + 1] - level[i] for i in range(len(level) - 1)]
+        for i in range(top):
+            level[i] = level[i + 1] - level[i]
     return out
 
 
@@ -92,17 +94,25 @@ def _gregory_fraction(j: int) -> Fraction:
     return total / math.factorial(j)
 
 
+@lru_cache(maxsize=None)
+def _gregory_floats(J: int) -> tuple[float, ...]:
+    # (G_1, ..., G_J) as floats, converted once per order on first use
+    if J > 30:
+        raise ValueError("Gregory coefficient order must be in 1..30")
+    return tuple(float(_gregory_fraction(j)) for j in range(1, J + 1))
+
+
 def gregory_coeff(j: int) -> float:
     """Gregory coefficient G_j = integral_0^1 C(t, j) dt.
 
-    Computed once in exact rational arithmetic (polynomial expansion of
-    the falling factorial, term-by-term integration) and converted to
-    float; exactness avoids the cancellation that kills a naive float
-    recurrence past j ~ 15.
+    Computed in exact rational arithmetic (polynomial expansion of the
+    falling factorial, term-by-term integration) and converted to float
+    once per order, on first use; exactness avoids the cancellation that
+    kills a naive float recurrence past j ~ 15.
     """
     if j < 1 or j > 30:
         raise ValueError("Gregory coefficient order must be in 1..30")
-    return float(_gregory_fraction(j))
+    return _gregory_floats(j)[-1]
 
 
 def gregory_coeff_fraction(j: int) -> Fraction:
@@ -116,10 +126,12 @@ def gregory_terms(f: Callable[[float], float], x: float, J: int) -> list[float]:
     """The J Gregory terms G_n Delta^{n-1} f(x), n = 1..J.
 
     Their sum is the head of Gregory's formula; the differences come from
-    the one window f(x), ..., f(x+J-1), so the head costs J evaluations.
+    the one window f(x), ..., f(x+J-1), so the head costs J evaluations;
+    J > 30 raises ValueError.
     """
+    coeffs = _gregory_floats(J)
     diffs = forward_diffs([f(x + i) for i in range(J)])
-    return [gregory_coeff(n) * d for n, d in enumerate(diffs, 1)]
+    return [c * d for c, d in zip(coeffs, diffs)]
 
 
 @lru_cache(maxsize=None)

@@ -89,6 +89,9 @@ def test_eval_rejects_bad_inputs():
     assert run_cli("tabulate", "--fn", "ln", "--from", "1", "--to", "2", "--step", "0.5",
                    "--p", "-3")[0] == 2
     assert run_cli("constants", "--fn", "ln", "--p", "100")[0] == 2
+    # gamma[g] is defined only at the minimal p; psi2g's minimal p is 2
+    assert run_cli("constants", "--fn", "ln", "--p", "2")[0] == 2
+    assert run_cli("constants", "--fn", "psi2g", "--p", "2")[0] == 0
 
 
 def test_eval_unreachable_tolerance_is_convergence_failure():
@@ -178,6 +181,10 @@ def test_verify_psi2_only_suites_are_gated():
                  ["--fn", "psi2g", "--suite", "taylor", "--x", "0.9"],
                  ["--fn", "psi2g", "--suite", "stirling", "--x", "0"]):
         assert run_cli("verify", *argv)[0] == 2, argv
+    # a residual of inf - inf is a result that is not finite, not bad input
+    for argv in (["--fn", "psi2g", "--suite", "mult", "--m", "2", "--x", "1e300"],
+                 ["--fn", "psi2g", "--suite", "webster", "--x", "1e300"]):
+        assert run_cli("verify", *argv)[0] == 3, argv
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from indefsum.identities import (
     webster_check,
     webster_sides,
 )
-from indefsum.catalog import reference_lgamma, reference_psi2
+from indefsum.catalog import builtin, reference_lgamma, reference_psi2
 from indefsum.sigma import integral_from_1
 
 from _frozen import (
@@ -147,6 +147,26 @@ def test_wallis_partials_move_toward_limits():
     d2 = [abs(wallis_partial_psi2(n)[1] - WALLIS_LIMIT_2) for n in (25, 100, 400)]
     assert all(b < a for a, b in zip(d1, d1[1:]))
     assert all(b < a for a, b in zip(d2, d2[1:]))
+
+
+def _wallis_partial_reference(n):
+    # the partial sums term by term, kept as the reference for wallis_partial_psi2
+    g = builtin("psi2g").g.eval
+    gsum = [(-1.0) ** (k - 1) * g(float(k)) for k in range(1, 2 * n + 1)]
+    psum = [(-1.0) ** (k - 1) * psi2_value(float(k)) for k in range(1, 2 * n + 1)]
+    h1 = (n + 0.25) * math.log(n) - n * (1.0 - math.log(2.0))
+    h2 = (n * n * math.log(2.0 * n) - 1.5 * n * n + 0.5 * n * math.log(2.0 * math.pi)
+          - math.log(n) / 12.0)
+    return h1 + math.fsum(gsum), h2 + math.fsum(psum)
+
+
+@pytest.mark.parametrize("n", [4, 5, 41, 200])
+def test_wallis_extrapolated_bit_identical_to_two_partials(n):
+    half = wallis_partial_psi2(n // 2)
+    full = wallis_partial_psi2(n)
+    assert half == _wallis_partial_reference(n // 2)
+    assert full == _wallis_partial_reference(n)
+    assert wallis_extrapolated(n) == (2.0 * full[0] - half[0], 2.0 * full[1] - half[1])
 
 
 def test_wallis_extrapolated_moderate_n():

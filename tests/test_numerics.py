@@ -1,6 +1,7 @@
 """Difference calculus, special coefficients, quadrature, interpolation."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from indefsum.numerics import (
     gen_binomial,
     gregory_coeff,
     gregory_coeff_fraction,
+    gregory_terms,
     integrate,
     integrate_singular,
     interp_poly_eval,
@@ -94,6 +96,24 @@ def test_forward_diff_is_scaled_divided_difference(j):
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
 
+def _textbook_diffs(values):
+    # the level-by-level recurrence, kept as the reference for forward_diffs
+    out = []
+    level = list(values)
+    while level:
+        out.append(level[0])
+        level = [level[i + 1] - level[i] for i in range(len(level) - 1)]
+    return out
+
+
+def test_forward_diffs_bit_identical_to_textbook_recurrence():
+    rng = random.Random(7)
+    for n in range(14):
+        for _ in range(50):
+            window = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
+            assert forward_diffs(window) == _textbook_diffs(window), window
+
+
 # ---------------------------------------------------------------------------
 # Gregory coefficients and Bernoulli numbers
 
@@ -113,6 +133,20 @@ def test_gregory_signs_alternate_and_magnitudes_decrease():
         assert math.copysign(1.0, v) == expected_sign
     mags = [abs(v) for v in vals[1:]]
     assert all(b < a for a, b in zip(mags, mags[1:]))
+
+
+@pytest.mark.parametrize("J", range(1, 13))
+def test_gregory_terms_bit_identical_to_exact_coefficients(J):
+    x = 3.7
+    diffs = _textbook_diffs([math.log(x + i) for i in range(J)])
+    expected = [float(gregory_coeff_fraction(n)) * d for n, d in enumerate(diffs, 1)]
+    assert gregory_terms(math.log, x, J) == expected
+
+
+def test_gregory_terms_order_range():
+    assert gregory_terms(math.log, 2.0, 0) == []
+    with pytest.raises(ValueError):
+        gregory_terms(math.log, 2.0, 31)
 
 
 def test_gregory_coefficient_is_binomial_moment():
