@@ -4,9 +4,10 @@ Everything in here measures how far Sigma g is from its polynomial or
 integral skeleton: rho is the raw interpolation error, the Binet function
 J is the Gregory-corrected deviation from the sigma-plus-integral main
 part (it vanishes at infinity), and the asymptotic expansion refines the
-main part with Bernoulli-number corrections.  Differences, Gregory heads
-and the Newton interpolant come from numerics (forward_diffs,
-gregory_terms, interp_poly_eval).
+main part with Bernoulli-number corrections.  Every function of a g
+reads its order p from g.p; only rho, which takes a plain callable, is
+given p.  Differences, Gregory heads and the Newton interpolant come from
+numerics (forward_diffs, gregory_terms, interp_poly_eval).
 """
 
 from __future__ import annotations
@@ -40,24 +41,20 @@ def rho(f, p: int, a: float, x: float) -> float:
     return f(x + a) - interp_poly_eval(f, a, p, a + x)
 
 
-def wendel_residual(g: GFunction, p: int | None = None, a: float = 0.5,
-                    x: float = 1.0) -> float:
-    """Sigma g(x+a) - Sigma g(x) - sum_{j=1}^p C(a,j) Delta^{j-1} g(x).
+def wendel_residual(g: GFunction, a: float = 0.5, x: float = 1.0) -> float:
+    """Sigma g(x+a) - Sigma g(x) - sum_{j=1}^p C(a,j) Delta^{j-1} g(x), p = g.p.
 
     Tends to zero as x grows; the rate is the content of the Wendel-type
     limit theorem, and for g = ln it sits inside the classical bracket
     [(a-1) ln(1+a/x), 0].
     """
-    if p is None:
-        p = g.p
-    diffs = forward_diffs([g(x + i) for i in range(p)])
-    head = math.fsum(gen_binomial(a, j) * diffs[j - 1] for j in range(1, p + 1))
+    diffs = forward_diffs([g(x + i) for i in range(g.p)])
+    head = math.fsum(gen_binomial(a, j) * diffs[j - 1] for j in range(1, g.p + 1))
     return sigma(g, x + a).value - sigma(g, x).value - head
 
 
-def binet(g: GFunction, p: int | None = None, x: float = 1.0,
-          mode: str = "explicit") -> float:
-    """Generalized Binet function J^{p+1}[Sigma g](x).
+def binet(g: GFunction, x: float = 1.0, mode: str = "explicit") -> float:
+    """Generalized Binet function J^{p+1}[Sigma g](x), p = g.p.
 
     explicit : Sigma g(x) - sigma[g] - integral_1^x g
                + sum_{j=1}^p G_j Delta^{j-1} g(x)
@@ -70,8 +67,7 @@ def binet(g: GFunction, p: int | None = None, x: float = 1.0,
     Both modes vanish as x -> infinity; the explicit mode is the cheap
     one, the integral mode exists as a structural cross-check.
     """
-    if p is None:
-        p = g.p
+    p = g.p
     if mode == "explicit":
         head = math.fsum(gregory_terms(g, x, p))
         return sigma(g, x).value - asymptotic_constant(g) - integral_from_1(g, x) + head
@@ -90,14 +86,14 @@ def binet(g: GFunction, p: int | None = None, x: float = 1.0,
     raise ValueError("mode must be 'explicit' or 'integral'")
 
 
-def stirling_decay_profile(g: GFunction, p: int | None = None,
+def stirling_decay_profile(g: GFunction,
                            xs: tuple[float, ...] = (10.0, 100.0, 1000.0)) -> list[float]:
     """|J^{p+1}[Sigma g]| sampled along xs; diagnostic for decay at infinity."""
-    return [abs(binet(g, p, x, mode="explicit")) for x in xs]
+    return [abs(binet(g, x, mode="explicit")) for x in xs]
 
 
-def asym_expansion(g: GFunction, p: int | None = None, x: float = 10.0,
-                   q: int = 6, m: int = 1) -> tuple[float, list[ExpansionTerm]]:
+def asym_expansion(g: GFunction, x: float = 10.0, q: int = 6,
+                   m: int = 1) -> tuple[float, list[ExpansionTerm]]:
     """Bernoulli expansion of Sigma g around the sigma-plus-integral core.
 
     total = sigma[g] + integral_1^x g + sum_{k=1}^q B_k/(m^k k!) g^(k-1)(x).
@@ -112,9 +108,7 @@ def asym_expansion(g: GFunction, p: int | None = None, x: float = 10.0,
         raise ValueError("q must be in 0..8")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if p is None:
-        p = g.p
-    main = asymptotic_constant(g, p) + integral_from_1(g, x)
+    main = asymptotic_constant(g) + integral_from_1(g, x)
     terms: list[ExpansionTerm] = []
     for k in range(1, q + 1):
         coeff = bernoulli_number(k) / (float(m) ** k * math.factorial(k))
@@ -124,20 +118,17 @@ def asym_expansion(g: GFunction, p: int | None = None, x: float = 10.0,
     return total, terms
 
 
-def expansion_remainder(g: GFunction, p: int | None = None, x: float = 10.0,
-                        q: int | None = None) -> float:
-    """Sigma g(x) minus the order-q Bernoulli expansion (q defaults to p).
+def expansion_remainder(g: GFunction, x: float = 10.0, q: int | None = None) -> float:
+    """Sigma g(x) minus the order-q Bernoulli expansion (q defaults to g.p).
 
     Unlike the Binet function, whose correction head uses finite
     differences, this subtracts the derivative corrections, so for the
     x ln x family with q = 2 it decays like 1/(720 x^2); at q = p = 1 the
     two objects coincide.
     """
-    if p is None:
-        p = g.p
     if q is None:
-        q = p
-    total, _ = asym_expansion(g, p, x, q, 1)
+        q = g.p
+    total, _ = asym_expansion(g, x, q, 1)
     return sigma(g, x).value - total
 
 

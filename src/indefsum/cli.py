@@ -35,6 +35,9 @@ EXIT_INPUT = 2
 EXIT_CONVERGENCE = 3
 EXIT_VIOLATION = 4
 
+# the most rows tabulate emits; a step too small for its range is bad input
+_MAX_ROWS = 100_000
+
 _PSI2_ONLY_SUITES = ("webster", "wallis", "reflection", "taylor",
                      "euler-series", "inequalities")
 
@@ -177,7 +180,7 @@ def cmd_eval(cfg: RunConfig, xs: list[float], offset_mode: str, out) -> int:
 
 def cmd_constants(cfg: RunConfig, out) -> int:
     entry = _resolve_entry(cfg)
-    report = constants.constants_report(entry.g, entry.g.p)
+    report = constants.constants_report(entry.g)
     payload = {
         "command": "constants",
         "function": cfg.label,
@@ -207,7 +210,7 @@ def _sides_report(identity: str, points: list, sides: list, tol: float):
 
 def _suite_raabe(entry, ms, xs):
     xs = xs or [0.5, 1.0, 2.0, 5.0, 10.0]
-    sides = [identities.raabe_sides(entry.g, entry.g.p, x) for x in xs]
+    sides = [identities.raabe_sides(entry.g, x) for x in xs]
     return [_sides_report("raabe", xs, sides, 1e-7)]
 
 
@@ -215,7 +218,7 @@ def _suite_mult(entry, ms, xs):
     ms = ms or [1, 2, 3, 5]
     xs = xs or [0.3, 1.0, 2.7, 8.0]
     points = [[m, x] for m in ms for x in xs]
-    sides = [identities.mult_sides(entry.g, entry.g.p, m, x) for m, x in points]
+    sides = [identities.mult_sides(entry.g, m, x) for m, x in points]
     reports = [_sides_report("mult", points, sides, 1e-7)]
     finite = [m for m in ms if m >= 2]
     if entry.name == "psi2g" and finite:
@@ -248,8 +251,7 @@ def _suite_wendel(entry, ms, xs):
         xs = xs or [16.0, 64.0, 256.0]
         points, residuals = [], []
         for a in (0.25, 1.5, 3.0):
-            mags = [abs(asymptotics.wendel_residual(entry.g, entry.g.p, a, x))
-                    for x in xs]
+            mags = [abs(asymptotics.wendel_residual(entry.g, a, x)) for x in xs]
             for i in range(len(mags) - 1):
                 points.append([a, xs[i], xs[i + 1]])
                 residuals.append(max(0.0, mags[i + 1] - mags[i]))
@@ -263,7 +265,7 @@ def _suite_stirling(entry, ms, xs):
         xs = xs or [25.0, 50.0, 100.0]
         points, residuals, sides = [], [], []
         for x in xs:
-            rem = asymptotics.expansion_remainder(entry.g, entry.g.p, x)
+            rem = asymptotics.expansion_remainder(entry.g, x)
             bound = 1.1 / (720.0 * x * x)
             points.append(x)
             residuals.append(max(0.0, abs(rem) - bound))
@@ -271,7 +273,7 @@ def _suite_stirling(entry, ms, xs):
         return [(identities.make_report("stirling-bound", points, residuals, sides),
                  1e-9)]
     xs = xs or [10.0, 100.0, 1000.0]
-    mags = [abs(asymptotics.binet(entry.g, entry.g.p, x)) for x in xs]
+    mags = [abs(asymptotics.binet(entry.g, x)) for x in xs]
     points, residuals = [], []
     for i in range(len(mags) - 1):
         points.append([xs[i], xs[i + 1]])
@@ -425,7 +427,7 @@ def cmd_expand(cfg: RunConfig, x: float, q: int, m: int, out) -> int:
         raise CliInputError("--q must be in 0..8")
     if m < 1:
         raise CliInputError("--m must be >= 1")
-    total, terms = asymptotics.asym_expansion(entry.g, entry.g.p, x, q, m)
+    total, terms = asymptotics.asym_expansion(entry.g, x, q, m)
     main = total - math.fsum(t.value for t in terms)
     if cfg.fmt == "csv":
         rows = [[t.k, t.coefficient, t.value] for t in terms]
@@ -458,15 +460,15 @@ def cmd_tabulate(cfg: RunConfig, start: float, stop: float, step: float, out) ->
         raise CliInputError("--step must be positive")
     if _finite(start, "--from") <= 0.0:
         raise CliInputError("--from must be positive")
-    _finite(stop, "--to")
+    limit = _finite(stop, "--to") + 1e-12 * max(1.0, abs(stop))
     xs = []
-    i = 0
-    while True:
-        x = start + i * step
-        if x > stop + 1e-12 * max(1.0, abs(stop)):
+    while len(xs) <= _MAX_ROWS:
+        x = start + len(xs) * step
+        if x > limit:
             break
         xs.append(x)
-        i += 1
+    if len(xs) > _MAX_ROWS:
+        raise CliInputError(f"--step {step!r} gives more than {_MAX_ROWS} rows")
     with_bounds = entry.name == "psi2g"
     worst_over_tol = False
     rows = []
@@ -474,7 +476,7 @@ def cmd_tabulate(cfg: RunConfig, start: float, stop: float, step: float, out) ->
         res = _sigma_point(entry.g, x, cfg.tol)
         if res.err_estimate > cfg.tol:
             worst_over_tol = True
-        jval = asymptotics.binet(entry.g, entry.g.p, x)
+        jval = asymptotics.binet(entry.g, x)
         if with_bounds:
             alpha, beta = identities.bounds_alpha_beta(x)
         else:

@@ -2,8 +2,10 @@
 
 sigma[g] is the definite integral of Sigma g over [1, 2]; it is computed
 as the shifted Gregory form at x = 1 (sigma.gregory_constant), where
-Sigma g(1) = 0 leaves the constant alone.  gamma[g] peels off the
-Gregory head sum_{j<=p} G_j Delta^{j-1} g(1) (numerics.gregory_terms).
+Sigma g(1) = 0 leaves the constant alone, and cached in g.sigma_constant.
+gamma[g] peels off the Gregory head sum_{j<=p} G_j Delta^{j-1} g(1)
+(numerics.gregory_terms) at p = g.p, which must be the decay degree of g
+(shape.dp_degree).
 Both get an independent cross-check route: a piecewise
 interpolation-error integral for gamma, and a Bernoulli-kernel integral
 representation for the x ln x - x + ln(2 pi)/2 entry's sigma, whose
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .numerics import gregory_terms, integrate, interp_poly_eval, richardson_extrapolate
-from .shape import ShapeError, decays_at
+from .shape import ShapeError, dp_degree
 from .sigma import GFunction, gregory_constant
 
 
@@ -34,39 +36,34 @@ def asymptotic_constant(g: GFunction, p: int | None = None) -> float:
     """sigma[g] = integral_1^2 Sigma g(t) dt, cached on g once computed.
 
     The value is sigma.gregory_constant's; sigma[g] does not depend on
-    the order p, which is accepted for the callers that pass it.
-    Idempotent: repeated calls return the cached value.
+    the order p, which is ignored and accepted only for the callers that
+    pass it.  Idempotent: repeated calls return the cached value.
     """
     if g.sigma_constant is None:
-        g.cache_sigma_constant(gregory_constant(g).value)
+        g.sigma_constant = gregory_constant(g).value
     return g.sigma_constant
 
 
-def euler_constant_gen(g: GFunction, p: int | None = None, unsafe: bool = False) -> float:
-    """gamma[g] = sigma[g] - sum_{j=1}^p G_j Delta^{j-1} g(1).
+def euler_constant_gen(g: GFunction) -> float:
+    """gamma[g] = sigma[g] - sum_{j=1}^p G_j Delta^{j-1} g(1), p = g.p.
 
-    The constant is only meaningful at the minimal admissible p; a
-    non-minimal p silently shifts the value, so it is rejected unless
-    the caller passes unsafe=True.
+    The constant is only meaningful when p is the decay degree of g: any
+    other p shifts the value (a larger one silently), so ShapeError is
+    raised unless g.p equals shape.dp_degree(g).
     """
-    if p is None:
-        p = g.p
-    if not unsafe:
-        if p > 0 and decays_at(g, p - 1):
-            raise ShapeError(
-                f"{g.name}: p = {p} is not minimal (differences already decay at {p - 1}); "
-                "pass unsafe=True to override"
-            )
-    return asymptotic_constant(g, p) - math.fsum(gregory_terms(g, 1.0, p))
+    degree = dp_degree(g)
+    if g.p != degree:
+        raise ShapeError(f"{g.name}: p = {g.p} is not the decay degree {degree} of g")
+    return asymptotic_constant(g) - math.fsum(gregory_terms(g, 1.0, g.p))
 
 
-def gamma_piecewise_interp(g, p: int, N: int = 10_000) -> float:
+def gamma_piecewise_interp(g: GFunction, N: int = 10_000) -> float:
     """gamma[g] as the accumulated interpolation-error integral.
 
-    On each [k, k+1] the degree-p interpolant of g at nodes k..k+p is
-    integrated against g; partial sums at N/4, N/2, N are extrapolated
-    to absorb the O(1/N) tail.  Independent of the sigma[g] route: no
-    Sigma evaluation is involved.
+    On each [k, k+1] the degree-p interpolant of g (p = g.p) at nodes
+    k..k+p is integrated against g; partial sums at N/4, N/2, N are
+    extrapolated to absorb the O(1/N) tail.  Independent of the sigma[g]
+    route: no Sigma evaluation is involved.
     """
     if N < 10:
         raise ValueError("N must be >= 10")
@@ -75,7 +72,7 @@ def gamma_piecewise_interp(g, p: int, N: int = 10_000) -> float:
     acc = []
     for k in range(1, N + 1):
         piece = integrate(
-            lambda t: interp_poly_eval(g, float(k), p + 1, t) - g(t),
+            lambda t: interp_poly_eval(g, float(k), g.p + 1, t) - g(t),
             float(k), float(k + 1), tol=1e-13,
         )
         acc.append(piece.value)
@@ -140,16 +137,15 @@ def fontana_partial(g, x: float = 1.0, N: int = 10) -> list[float]:
     return list(itertools.accumulate(gregory_terms(g, x, N)))
 
 
-def constants_report(g: GFunction, p: int | None = None) -> ConstantsReport:
+def constants_report(g: GFunction) -> ConstantsReport:
     """Assemble (p, sigma, gamma, err) with the method that produced sigma.
 
     err is gregory_constant's bound on the error of sigma; gamma comes from
-    euler_constant_gen, so a non-minimal p raises ShapeError.
+    euler_constant_gen, so a g.p other than the decay degree raises
+    ShapeError.
     """
-    if p is None:
-        p = g.p
     res = gregory_constant(g)
-    sig = g.cache_sigma_constant(res.value)
-    gam = euler_constant_gen(g, p)
-    return ConstantsReport(p=p, sigma=sig, gamma_gen=gam, err=res.err_estimate,
-                           method=res.strategy)
+    if g.sigma_constant is None:
+        g.sigma_constant = res.value
+    return ConstantsReport(p=g.p, sigma=g.sigma_constant, gamma_gen=euler_constant_gen(g),
+                           err=res.err_estimate, method=res.strategy)

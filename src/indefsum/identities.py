@@ -64,15 +64,15 @@ def lngamma_value(x: float) -> float:
 # ---------------------------------------------------------------------------
 # Raabe
 
-def raabe_sides(g: GFunction, p: int | None = None, x: float = 1.0) -> tuple[float, float]:
-    """(integral_x^{x+1} Sigma g, sigma[g] + integral_1^x g); neither depends on p."""
+def raabe_sides(g: GFunction, x: float = 1.0) -> tuple[float, float]:
+    """(integral_x^{x+1} Sigma g, sigma[g] + integral_1^x g)."""
     lhs = integrate(lambda t: sigma(g, t).value, x, x + 1.0, tol=1e-10).value
     rhs = asymptotic_constant(g) + integral_from_1(g, x)
     return lhs, rhs
 
 
-def raabe_residual(g: GFunction, p: int | None = None, x: float = 1.0) -> float:
-    lhs, rhs = raabe_sides(g, p, x)
+def raabe_residual(g: GFunction, x: float = 1.0) -> float:
+    lhs, rhs = raabe_sides(g, x)
     return lhs - rhs
 
 
@@ -104,14 +104,11 @@ def _scaled_entry(g: GFunction, m: int) -> GFunction:
                      p=g.p, shape=g.shape, name=f"{g.name}(x/{m})")
 
 
-def mult_sides(g: GFunction, p: int | None = None, m: int = 1,
-               x: float = 1.0) -> tuple[float, float]:
+def mult_sides(g: GFunction, m: int = 1, x: float = 1.0) -> tuple[float, float]:
     """Both sides of the multiplication identity.
 
     lhs = sum_{j<m} Sigma g((x+j)/m)
     rhs = Sigma g_m(x) + m sigma[g] - sigma[g_m] - integral_1^m g_m
-
-    Neither side depends on p.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -123,9 +120,8 @@ def mult_sides(g: GFunction, p: int | None = None, m: int = 1,
     return lhs, rhs
 
 
-def mult_residual(g: GFunction, p: int | None = None, m: int = 1,
-                  x: float = 1.0) -> float:
-    lhs, rhs = mult_sides(g, p, m, x)
+def mult_residual(g: GFunction, m: int = 1, x: float = 1.0) -> float:
+    lhs, rhs = mult_sides(g, m, x)
     return lhs - rhs
 
 
@@ -386,7 +382,7 @@ def inequality_report_psi2(x: float, a: float) -> ResidualReport:
     # Stirling-based: 0 <= -J^3[Sigma g](x)
     #                   <= integral_0^1 C(t-1,2)(dg(x+t) - dg(x)) dt
     #                   <= (5/12) d2g(x)
-    s1 = -binet(entry.g, 2, x, mode="explicit")
+    s1 = -binet(entry.g, x, mode="explicit")
     dgx = dg(x)
     s2 = integrate(
         lambda t: 0.5 * (t - 1.0) * (t - 2.0) * (dg(x + t) - dgx),

@@ -3,16 +3,18 @@
 The production path is the shifted Gregory form
 
   Sigma g(x) = sigma[g] + integral_1^{x+N} g
-               - sum_{n=1..J} G_n Delta^{n-1} g(x+N) - sum_{k<N} g(x+k).
+               - sum_{n=1..J} G_n Delta^{n-1} g(x+N) - sum_{k<N} g(x+k),
 
-Since Sigma g(1) = 0, the same form at x = 1 yields the asymptotic
-constant sigma[g] itself (gregory_constant), so sigma_gregory needs no
-prepared input: it fills g's cache on first use, and sigma() always
-dispatches to it.  sigma_deriv() differentiates the form termwise, where
-the constant drops out.  The Gregory terms come from numerics.gregory_terms
-and every unit-step difference from numerics.forward_diffs.
+with N the smallest shift putting x + N >= 30 and J = 8: sigma() is that
+evaluator and takes neither N nor J.  Since Sigma g(1) = 0, the same form
+at x = 1 yields the asymptotic constant sigma[g] itself (gregory_constant),
+so sigma() needs no prepared input: it fills g.sigma_constant on first
+use.  sigma_deriv() differentiates the form termwise, where the constant
+drops out.  The Gregory terms come from numerics.gregory_terms and every
+unit-step difference from numerics.forward_diffs.
 
-Two independent routes are kept as cross-checks:
+Every route reads its order p from g.p, the decay degree of g.  Two
+independent routes are kept as cross-checks:
 
   sigma_direct    the defining Gauss-style limit f_pn along n = n0 * 2^k
                   with Richardson extrapolation of the snapshots;
@@ -49,7 +51,6 @@ __all__ = [
     "gregory_constant",
     "sigma_direct",
     "sigma_eulerian",
-    "sigma_gregory",
     "sigma",
     "sigma_deriv",
     "integral_from_1",
@@ -64,7 +65,9 @@ class GFunction:
     order r (r <= 8 expected); antideriv, when present, is the definite
     integral from 1, i.e. antideriv(x) = integral_1^x g(t) dt; p and
     shape certify g in D^p intersect K^p (caller's responsibility,
-    normally via shape.classify or catalog metadata).
+    normally via shape.classify or catalog metadata); sigma_constant
+    caches sigma[g] once sigma() or constants.asymptotic_constant has
+    computed it.
     """
 
     eval: Callable[[float], float]
@@ -73,7 +76,7 @@ class GFunction:
     p: int
     shape: str
     name: str
-    _sigma_cache: Optional[float] = field(default=None, repr=False)
+    sigma_constant: Optional[float] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.shape not in ("convex", "concave"):
@@ -83,16 +86,6 @@ class GFunction:
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
-
-    @property
-    def sigma_constant(self) -> Optional[float]:
-        return self._sigma_cache
-
-    def cache_sigma_constant(self, value: float) -> float:
-        # idempotent fill: first write wins, identical rewrites are no-ops
-        if self._sigma_cache is None:
-            self._sigma_cache = value
-        return self._sigma_cache
 
     def deriv(self, x: float, r: int) -> float:
         """g^(r)(x) recovered from the jet."""
@@ -133,13 +126,13 @@ def _reduce_argument(f: Callable[[float], float], x: float) -> tuple[float, floa
     return xr, shift
 
 
-def _newton_tail(g: GFunction, p: int, n: int, x: float) -> list[float]:
+def _newton_tail(g: GFunction, n: int, x: float) -> list[float]:
     # C(x, j) Delta^{j-1} g(n) for j = 1..p: the interpolation head of f_pn
-    diffs = forward_diffs([g.eval(float(n + i)) for i in range(p)])
-    return [gen_binomial(x, j) * diffs[j - 1] for j in range(1, p + 1)]
+    diffs = forward_diffs([g.eval(float(n + i)) for i in range(g.p)])
+    return [gen_binomial(x, j) * diffs[j - 1] for j in range(1, g.p + 1)]
 
 
-def f_pn(g: GFunction, p: int, n: int, x: float) -> float:
+def f_pn(g: GFunction, n: int, x: float) -> float:
     """The defining approximant f^p_n[g](x), evaluated as a finite sum.
 
     Terms are arranged pairwise, g(k) - g(x+k), and summed with
@@ -153,7 +146,7 @@ def f_pn(g: GFunction, p: int, n: int, x: float) -> float:
     terms = [-g.eval(x)]
     for k in range(1, n):
         terms.append(g.eval(float(k)) - g.eval(x + k))
-    return math.fsum(terms + _newton_tail(g, p, n, x))
+    return math.fsum(terms + _newton_tail(g, n, x))
 
 
 _DIRECT_N0 = 8
@@ -185,18 +178,18 @@ def _extrapolate(partials: Iterator[tuple[int, float]], tol: float, shift: float
     return SigmaResult(value + shift, err, strategy, n)
 
 
-def _direct_partials(g: GFunction, p: int, xr: float) -> Iterator[tuple[int, float]]:
+def _direct_partials(g: GFunction, xr: float) -> Iterator[tuple[int, float]]:
     # f^p_n[g](xr) along n = 8 * 2^k, extending the pair sum incrementally
     pair_terms = [-g.eval(xr)]
     n = _DIRECT_N0
     while n <= _DIRECT_CAP:
         for k in range(len(pair_terms), n):
             pair_terms.append(g.eval(float(k)) - g.eval(xr + k))
-        yield n, math.fsum(pair_terms + _newton_tail(g, p, n, xr))
+        yield n, math.fsum(pair_terms + _newton_tail(g, n, xr))
         n *= 2
 
 
-def sigma_direct(g: GFunction, p: int, x: float, tol: float = 1e-10) -> SigmaResult:
+def sigma_direct(g: GFunction, x: float, tol: float = 1e-10) -> SigmaResult:
     """Sigma g(x) as the extrapolated limit of f^p_n[g](x).
 
     Snapshots along n = 8 * 2^k feed Richardson extrapolation; the last
@@ -206,16 +199,17 @@ def sigma_direct(g: GFunction, p: int, x: float, tol: float = 1e-10) -> SigmaRes
     """
     _check_series_args(x, tol)
     xr, shift = _reduce_argument(g.eval, x)
-    return _extrapolate(_direct_partials(g, p, xr), tol, shift, "direct")
+    return _extrapolate(_direct_partials(g, xr), tol, shift, "direct")
 
 
 def _eulerian_series(g: GFunction, f: Callable[[float], float],
-                     weight: Callable[[float, int], float], p: int, x: float,
+                     weight: Callable[[float, int], float], x: float,
                      tol: float) -> SigmaResult:
     # -f(xr) + sum_{j=1..p} w_j Delta^{j-1} g(1)
     #        - sum_{n>=1} (f(xr+n) - sum_{j=0..p} w_j Delta^j g(n)),
     # w_j = weight(xr, j); f = g with binomial weights sums Sigma g, and
     # f = g^(r) with the r-th derivatives of the binomials sums D^r Sigma g
+    p = g.p
     xr, shift = _reduce_argument(f, x)
     w = [weight(xr, j) for j in range(p + 1)]
 
@@ -238,7 +232,7 @@ def _eulerian_series(g: GFunction, f: Callable[[float], float],
     return _extrapolate(partials(), tol, shift, "eulerian")
 
 
-def sigma_eulerian(g: GFunction, p: int, x: float, tol: float = 1e-10) -> SigmaResult:
+def sigma_eulerian(g: GFunction, x: float, tol: float = 1e-10) -> SigmaResult:
     """Sigma g(x) by the Eulerian series.
 
     -g(x) + sum_{j=1..p} C(x,j) Delta^{j-1} g(1)
@@ -248,7 +242,7 @@ def sigma_eulerian(g: GFunction, p: int, x: float, tol: float = 1e-10) -> SigmaR
     sigma_direct.
     """
     _check_series_args(x, tol)
-    return _eulerian_series(g, g.eval, gen_binomial, p, x, tol)
+    return _eulerian_series(g, g.eval, gen_binomial, x, tol)
 
 
 def gregory_constant(g: GFunction) -> SigmaResult:
@@ -261,7 +255,7 @@ def gregory_constant(g: GFunction) -> SigmaResult:
     moved by N steps through the difference equation so it converges fast.
     err_estimate is the last retained Gregory term plus 4 ulp of the
     summed magnitudes, plus the quadrature tolerance when g has no
-    antiderivative.  The value is not cached here; see sigma_gregory.
+    antiderivative.  The value is not cached here; see sigma.
     """
     N, J, quad_tol = 60, 12, 1e-12
     terms = gregory_terms(g.eval, 1.0 + N, J)
@@ -275,44 +269,26 @@ def gregory_constant(g: GFunction) -> SigmaResult:
     return SigmaResult(value, err, "gregory", N + J)
 
 
-def sigma_gregory(
-    g: GFunction,
-    p: int,
-    x: float,
-    N: Optional[int] = None,
-    J: int = 8,
-) -> SigmaResult:
+def sigma(g: GFunction, x: float, tol: float = 1e-10) -> SigmaResult:
     """Sigma g(x) by shift plus truncated Gregory series.
 
     value = [sigma[g] + integral_1^{x+N} g - sum_{n=1..J} G_n
-    Delta^{n-1} g(x+N)] - sum_{k<N} g(x+k), with N defaulting to the
-    smallest shift putting x+N >= 30. sigma[g] comes from g's cache,
+    Delta^{n-1} g(x+N)] - sum_{k<N} g(x+k), with N the smallest shift
+    putting x+N >= 30 and J = 8. sigma[g] comes from g.sigma_constant,
     filled by gregory_constant on first use. err_estimate is the
     magnitude of the last retained Gregory term |G_J Delta^{J-1} g(x+N)|,
     a deliberately conservative omitted-term heuristic (one order down).
+    tol does not select N or J yet; callers compare err_estimate with it.
     """
     if not x > 0.0:
         raise ValueError("x must be positive")
-    if J < 1 or J > 12:
-        raise ValueError("Gregory order J must be in 1..12")
-    if N is None:
-        N = max(0, math.ceil(30.0 - x))
-    if N < 0:
-        raise ValueError("shift N must be >= 0")
+    N, J = max(0, math.ceil(30.0 - x)), 8
     if g.sigma_constant is None:
-        g.cache_sigma_constant(gregory_constant(g).value)
+        g.sigma_constant = gregory_constant(g).value
     terms = gregory_terms(g.eval, x + N, J)
     shifted = [g.eval(x + k) for k in range(N)]
     head = g.sigma_constant + integral_from_1(g, x + N) - math.fsum(terms)
     return SigmaResult(head - math.fsum(shifted), abs(terms[-1]), "gregory", J + N)
-
-
-def sigma(g: GFunction, x: float, tol: float = 1e-10) -> SigmaResult:
-    """Sigma g(x) by the shifted Gregory form (sigma_gregory at its defaults).
-
-    tol does not select N or J yet; callers compare err_estimate with it.
-    """
-    return sigma_gregory(g, g.p, x)
 
 
 def _binom_jet(x: float, j: int, r: int) -> list[float]:
@@ -335,17 +311,15 @@ def _binom_jet(x: float, j: int, r: int) -> list[float]:
 
 def sigma_deriv(
     g: GFunction,
-    p: int,
     x: float,
     r: int,
     strategy: str = "gregory",
     tol: float = 1e-10,
-    J: int = 10,
 ) -> SigmaResult:
     """r-th derivative of Sigma g at x, 0 <= r <= 4 (r=0 delegates).
 
-    Default path differentiates the shifted Gregory form: the sigma
-    constant drops out, leaving
+    Default path differentiates the shifted Gregory form (the N of sigma,
+    J = 10): the sigma constant drops out, leaving
 
       D^r Sigma g(x) = g^(r-1)(x+N) - sum_{n=1..J} G_n Delta^{n-1}
                        g^(r)(x+N) - sum_{k<N} g^(r)(x+k).
@@ -367,7 +341,7 @@ def sigma_deriv(
         return g.jet(y, r).derivative(r)
 
     if strategy == "gregory":
-        N = max(0, math.ceil(30.0 - x))
+        N, J = max(0, math.ceil(30.0 - x)), 10
         terms = gregory_terms(dr_of, x + N, J)
         shifted = [dr_of(x + k) for k in range(N)]
         lead = g.jet(x + N, max(1, r - 1)).derivative(r - 1)
@@ -377,4 +351,4 @@ def sigma_deriv(
         raise ValueError("strategy must be 'gregory' or 'eulerian'")
     fact_r = math.factorial(r)
     return _eulerian_series(g, dr_of, lambda xr, j: fact_r * _binom_jet(xr, j, r)[r],
-                            p, x, tol)
+                            x, tol)

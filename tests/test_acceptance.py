@@ -32,7 +32,7 @@ from indefsum.identities import (
 from indefsum.catalog import reference_psi2
 from indefsum.numerics import richardson_extrapolate
 from indefsum.shape import classify
-from indefsum.sigma import sigma, sigma_direct, sigma_eulerian, sigma_gregory
+from indefsum.sigma import sigma, sigma_direct, sigma_eulerian
 
 from _frozen import (
     EULER_GAMMA,
@@ -66,9 +66,9 @@ def test_c01_lgamma_reproduction_all_strategies(ln_entry):
     for x in xs:
         want = reference_lgamma(x)
         for res in (
-            sigma_direct(ln_entry.g, 1, x),
-            sigma_eulerian(ln_entry.g, 1, x),
-            sigma_gregory(ln_entry.g, 1, x),
+            sigma_direct(ln_entry.g, x),
+            sigma_eulerian(ln_entry.g, x),
+            sigma(ln_entry.g, x),
         ):
             worst = max(worst, abs(res.value - want))
     ok = worst <= 1e-9
@@ -121,7 +121,7 @@ def test_c06_raabe(ln_entry, psi2_entry):
     worst = 0.0
     for entry in (ln_entry, psi2_entry):
         for x in (0.5, 1.0, 2.0, 5.0, 10.0):
-            worst = max(worst, abs(raabe_residual(entry.g, entry.g.p, x)))
+            worst = max(worst, abs(raabe_residual(entry.g, x)))
     ok = worst <= 1e-7
     _line("6", "Raabe area identity at five abscissas", ok,
           f"max |resid| = {worst:.3e}")
@@ -133,7 +133,7 @@ def test_c07_multiplication(ln_entry, psi2_entry):
     for entry in (ln_entry, psi2_entry):
         for m in (1, 2, 3, 5):
             for x in (0.3, 1.0, 2.7, 8.0):
-                worst = max(worst, abs(mult_residual(entry.g, entry.g.p, m, x)))
+                worst = max(worst, abs(mult_residual(entry.g, m, x)))
     lhs, rhs = mult_finite_sum_psi2(2)
     finite = abs(lhs - rhs)
     ok = worst <= 1e-7 and finite <= 1e-7
@@ -145,12 +145,12 @@ def test_c07_multiplication(ln_entry, psi2_entry):
 def test_c08_remainder_decay(ln_entry, psi2_entry):
     worst_ratio = 0.0
     for x in (25.0, 50.0, 100.0):
-        rem = expansion_remainder(psi2_entry.g, 2, x)
+        rem = expansion_remainder(psi2_entry.g, x)
         worst_ratio = max(worst_ratio, abs(rem) / (1.1 / (720.0 * x * x)))
     x = 50.0
     law = 1.0 / (720.0 * x * x) - 1.0 / (5040.0 * x ** 4)
-    rel = abs(expansion_remainder(psi2_entry.g, 2, x) - law) / law
-    ln_err = abs(binet(ln_entry.g, 1, 100.0) - 1.0 / 1200.0)
+    rel = abs(expansion_remainder(psi2_entry.g, x) - law) / law
+    ln_err = abs(binet(ln_entry.g, 100.0) - 1.0 / 1200.0)
     ok = worst_ratio <= 1.0 and rel <= 0.10 and ln_err <= 0.1 / 1200.0
     _line("8", "remainder magnitudes track the two-term law", ok,
           f"bound ratio = {worst_ratio:.3f}, law rel err = {rel:.2e}, "
@@ -290,13 +290,13 @@ def test_c17_strategy_cross_agreement(all_entries):
     rng = random.Random(SEED + 17)
     worst = 0.0
     for entry in all_entries:
-        g, p = entry.g, entry.g.p
+        g = entry.g
         for _ in range(25):
             x = rng.uniform(0.1, 30.0)
             vals = (
-                sigma_direct(g, p, x).value,
-                sigma_eulerian(g, p, x).value,
-                sigma_gregory(g, p, x).value,
+                sigma_direct(g, x).value,
+                sigma_eulerian(g, x).value,
+                sigma(g, x).value,
             )
             worst = max(worst, max(vals) - min(vals))
     ok = worst <= 1e-8

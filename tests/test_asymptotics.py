@@ -60,19 +60,19 @@ def test_rho_requires_positive_order():
 def test_wendel_residual_integer_step_is_difference_equation(ln_entry):
     # a = 1 collapses to Sigma g(x+1) - Sigma g(x) - g(x)
     for x in (0.5, 2.0, 11.0):
-        assert wendel_residual(ln_entry.g, 1, 1.0, x) == pytest.approx(0.0, abs=1e-9)
+        assert wendel_residual(ln_entry.g, 1.0, x) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_wendel_residual_decays_along_doublings(ln_entry, psi2_entry, recip_entry):
     for entry in (ln_entry, psi2_entry, recip_entry):
         for a in (0.25, 1.5, 3.0):
-            seq = [abs(wendel_residual(entry.g, entry.g.p, a, float(2 ** k)))
+            seq = [abs(wendel_residual(entry.g, a, float(2 ** k)))
                    for k in range(4, 9)]
             assert all(b < a_ for a_, b in zip(seq, seq[1:])), (entry.name, a)
 
 
 def test_wendel_residual_far_field_psi2(psi2_entry):
-    assert abs(wendel_residual(psi2_entry.g, 2, 1.5, 1000.0)) <= 1e-4
+    assert abs(wendel_residual(psi2_entry.g, 1.5, 1000.0)) <= 1e-4
 
 
 def test_wendel_limit_form_psi2(psi2_entry, ln_entry):
@@ -89,44 +89,44 @@ def test_wendel_limit_form_psi2(psi2_entry, ln_entry):
 
 def test_binet_log_at_one(ln_entry):
     want = 1.0 - 0.5 * LN_2PI
-    assert binet(ln_entry.g, 1, 1.0) == pytest.approx(want, abs=1e-9)
-    assert binet(ln_entry.g, 1, 1.0) == pytest.approx(
+    assert binet(ln_entry.g, 1.0) == pytest.approx(want, abs=1e-9)
+    assert binet(ln_entry.g, 1.0) == pytest.approx(
         -euler_constant_gen(ln_entry.g), abs=1e-9)
 
 
 def test_binet_log_far_field_matches_stirling_tail(ln_entry):
     # J(x) ~ 1/(12 x)
-    val = binet(ln_entry.g, 1, 100.0)
+    val = binet(ln_entry.g, 100.0)
     assert val == pytest.approx(1.0 / 1200.0, rel=0.05)
 
 
 @pytest.mark.parametrize("x", [1.0, 2.5, 10.0])
 def test_binet_psi2_matches_closed_form(psi2_entry, x):
-    assert binet(psi2_entry.g, 2, x) == pytest.approx(_binet3_closed_psi2(x), abs=1e-8)
+    assert binet(psi2_entry.g, x) == pytest.approx(_binet3_closed_psi2(x), abs=1e-8)
 
 
 @pytest.mark.parametrize("x", [1.0, 2.5, 10.0])
 def test_binet_modes_agree(ln_entry, psi2_entry, recip_entry, x):
     for entry in (ln_entry, psi2_entry, recip_entry):
-        explicit = binet(entry.g, entry.g.p, x, mode="explicit")
-        integral = binet(entry.g, entry.g.p, x, mode="integral")
+        explicit = binet(entry.g, x, mode="explicit")
+        integral = binet(entry.g, x, mode="integral")
         assert explicit == pytest.approx(integral, abs=1e-7), entry.name
 
 
 def test_binet_at_one_is_minus_gamma(all_entries):
     for entry in all_entries:
-        assert binet(entry.g, entry.g.p, 1.0) == pytest.approx(
+        assert binet(entry.g, 1.0) == pytest.approx(
             -euler_constant_gen(entry.g), abs=1e-8), entry.name
 
 
 def test_binet_rejects_unknown_mode(ln_entry):
     with pytest.raises(ValueError):
-        binet(ln_entry.g, 1, 2.0, mode="magic")
+        binet(ln_entry.g, 2.0, mode="magic")
 
 
 def test_stirling_decay_profile_monotone(ln_entry, psi2_entry):
     for entry in (ln_entry, psi2_entry):
-        prof = stirling_decay_profile(entry.g, entry.g.p)
+        prof = stirling_decay_profile(entry.g)
         assert all(b < a for a, b in zip(prof, prof[1:])), entry.name
 
 
@@ -134,7 +134,7 @@ def test_stirling_chain_bound_psi2(psi2_entry):
     # 0 <= -J^3 <= (5/12) Delta^2 g(x)
     g = psi2_entry.g
     for x in (1.0, 5.0, 20.0, 100.0):
-        neg_j3 = -binet(g, 2, x)
+        neg_j3 = -binet(g, x)
         assert neg_j3 >= -1e-10, x
         assert neg_j3 <= (5.0 / 12.0) * forward_diffs([g(x + i) for i in range(3)])[2] + 1e-10, x
 
@@ -144,14 +144,14 @@ def test_binet_vanishes_for_polynomial_inputs():
     for src, p in (("1/2", 1), ("x", 2)):
         entry = from_expression(src, p=p, shape="convex")
         for x in (0.7, 1.0, 3.7, 12.0):
-            assert binet(entry.g, p, x) == pytest.approx(0.0, abs=1e-9), src
+            assert binet(entry.g, x) == pytest.approx(0.0, abs=1e-9), src
 
 
 # ---------------------------------------------------------------------------
 # Bernoulli expansion
 
 def test_asym_expansion_psi2_far_field(psi2_entry):
-    total, terms = asym_expansion(psi2_entry.g, 2, 10.0, 6, 1)
+    total, terms = asym_expansion(psi2_entry.g, 10.0, 6, 1)
     assert total + 0.5 * LN_2PI == pytest.approx(reference_psi2(10.0), abs=1e-8)
     assert [t.k for t in terms] == [1, 2, 3, 4, 5, 6]
     assert terms[0].coefficient == -0.5
@@ -161,12 +161,12 @@ def test_asym_expansion_psi2_far_field(psi2_entry):
 
 
 def test_asym_expansion_log_is_stirling(ln_entry):
-    total, _ = asym_expansion(ln_entry.g, 1, 20.0, 2, 1)
+    total, _ = asym_expansion(ln_entry.g, 20.0, 2, 1)
     assert total == pytest.approx(reference_lgamma(20.0), abs=1e-6)
 
 
 def test_asym_expansion_order_zero_is_main_part(ln_entry):
-    total, terms = asym_expansion(ln_entry.g, 1, 10.0, 0, 1)
+    total, terms = asym_expansion(ln_entry.g, 10.0, 0, 1)
     assert terms == []
     want = asymptotic_constant(ln_entry.g) + integral_from_1(ln_entry.g, 10.0)
     assert total == pytest.approx(want, abs=1e-12)
@@ -174,16 +174,16 @@ def test_asym_expansion_order_zero_is_main_part(ln_entry):
 
 def test_asym_expansion_averaged_copies(psi2_entry):
     # m = 2 targets the average of the two interleaved evaluations
-    total, _ = asym_expansion(psi2_entry.g, 2, 10.0, 6, 2)
+    total, _ = asym_expansion(psi2_entry.g, 10.0, 6, 2)
     avg = 0.5 * (sigma(psi2_entry.g, 10.0).value + sigma(psi2_entry.g, 10.5).value)
     assert total == pytest.approx(avg, abs=1e-8)
 
 
 def test_asym_expansion_validation(ln_entry):
     with pytest.raises(ValueError):
-        asym_expansion(ln_entry.g, 1, 10.0, 9, 1)
+        asym_expansion(ln_entry.g, 10.0, 9, 1)
     with pytest.raises(ValueError):
-        asym_expansion(ln_entry.g, 1, 10.0, 4, 0)
+        asym_expansion(ln_entry.g, 10.0, 4, 0)
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -195,26 +195,26 @@ def test_expansion_error_bounded_by_first_omitted_term(all_entries, q, x):
     for entry in all_entries:
         if entry.g.p == 0:
             continue
-        total, _ = asym_expansion(entry.g, entry.g.p, x, q, 1)
+        total, _ = asym_expansion(entry.g, x, q, 1)
         err = abs(total - sigma(entry.g, x).value)
-        _, probe = asym_expansion(entry.g, entry.g.p, x, q + 2, 1)
+        _, probe = asym_expansion(entry.g, x, q + 2, 1)
         omitted = abs(probe[-1].value)
         assert err <= 2.0 * omitted, (entry.name, q, x)
 
 
 def test_expansion_remainder_coincides_with_binet_at_order_one(ln_entry):
     for x in (5.0, 50.0):
-        assert expansion_remainder(ln_entry.g, 1, x) == pytest.approx(
-            binet(ln_entry.g, 1, x), abs=1e-12)
+        assert expansion_remainder(ln_entry.g, x) == pytest.approx(
+            binet(ln_entry.g, x), abs=1e-12)
 
 
 def test_expansion_remainder_psi2_two_term_law(psi2_entry):
     # remainder after the q = 2 expansion: 1/(720 x^2) - 1/(5040 x^4) + ...
     for x in (25.0, 50.0, 100.0):
-        rem = expansion_remainder(psi2_entry.g, 2, x)
+        rem = expansion_remainder(psi2_entry.g, x)
         assert abs(rem) <= 1.1 / (720.0 * x * x), x
     x = 50.0
-    rem = expansion_remainder(psi2_entry.g, 2, x)
+    rem = expansion_remainder(psi2_entry.g, x)
     law = 1.0 / (720.0 * x * x) - 1.0 / (5040.0 * x ** 4)
     assert rem == pytest.approx(law, rel=0.10)
 

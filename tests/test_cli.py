@@ -89,8 +89,11 @@ def test_eval_rejects_bad_inputs():
     assert run_cli("tabulate", "--fn", "ln", "--from", "1", "--to", "2", "--step", "0.5",
                    "--p", "-3")[0] == 2
     assert run_cli("constants", "--fn", "ln", "--p", "100")[0] == 2
-    # gamma[g] is defined only at the minimal p; psi2g's minimal p is 2
-    assert run_cli("constants", "--fn", "ln", "--p", "2")[0] == 2
+    # gamma[g] is defined only at the decay degree: 1 for ln, 2 for psi2g;
+    # for ln, Delta^p at n = 4096 is pure roundoff from p = 5 on
+    for p in ("0", "2", "6", "13", "30"):
+        assert run_cli("constants", "--fn", "ln", "--p", p)[0] == 2, p
+    assert run_cli("constants", "--fn", "psi2g", "--p", "1")[0] == 2
     assert run_cli("constants", "--fn", "psi2g", "--p", "2")[0] == 0
 
 
@@ -254,6 +257,12 @@ def test_tabulate_empty_range_and_validation():
                    "--step", "1")[0] == 2
     assert run_cli("tabulate", "--fn", "ln", "--from", "1", "--to", "nan",
                    "--step", "1")[0] == 2
+    # a step that does not move x (1 + i * 1e-300 == 1) is bad input, not a
+    # grid that grows until memory runs out; also when stop sits at 1 - 1e-12,
+    # where the tolerated end of the grid is 1.0 itself
+    for stop in ("2", "0.999999999999"):
+        assert run_cli("tabulate", "--fn", "ln", "--from", "1", "--to", stop,
+                       "--step", "1e-300")[0] == 2, stop
 
 
 # ---------------------------------------------------------------------------
