@@ -27,7 +27,7 @@ from .catalog import CATALOG_NAMES, CatalogEntry, builtin, from_expression, \
     named_constant
 from .exprlang import ExprError
 from .numerics import QuadratureError
-from .shape import ShapeError
+from .shape import ShapeError, dp_degree
 from .sigma import sigma
 
 EXIT_OK = 0
@@ -115,14 +115,18 @@ def _resolve_entry(cfg: RunConfig) -> CatalogEntry:
                 shape=cfg.shape if cfg.shape is not None else entry.g.shape,
             )
             entry = dataclasses.replace(entry, g=g)
-        return entry
-    try:
-        return from_expression(cfg.expr, p=cfg.p, shape=cfg.shape,
-                               rng=random.Random(cfg.seed))
-    except ExprError as exc:
-        raise CliInputError(f"expression error: {exc}")
-    except ShapeError as exc:
-        raise CliInputError(f"classification failed: {exc}")
+    else:
+        try:
+            entry = from_expression(cfg.expr, p=cfg.p, shape=cfg.shape,
+                                    rng=random.Random(cfg.seed))
+        except ExprError as exc:
+            raise CliInputError(f"expression error: {exc}")
+        except ShapeError as exc:
+            raise CliInputError(f"classification failed: {exc}")
+    # below the decay degree Delta^p g does not vanish and no route means anything
+    if cfg.p is not None and cfg.p < (degree := dp_degree(entry.g)):
+        raise CliInputError(f"--p {cfg.p} is below the decay degree {degree} of g")
+    return entry
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> str:

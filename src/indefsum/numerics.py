@@ -249,7 +249,7 @@ _PANEL_CAP = 10_000
 
 
 def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    c = 0.5 * (a + b)
+    c = 0.5 * a + 0.5 * b  # a + b can overflow; the rounding is the same
     h = 0.5 * (b - a)
     fc = f(c)
     kron = _WGK[7] * fc
@@ -290,7 +290,7 @@ def integrate(
     panels = 1
     while total_err > tol and panels < _PANEL_CAP:
         neg_err, pa, pb, _pval = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
+        mid = 0.5 * pa + 0.5 * pb
         v1, e1 = _panel(f, pa, mid)
         v2, e2 = _panel(f, mid, pb)
         heapq.heappush(heap, (-e1, pa, mid, v1))

@@ -11,7 +11,9 @@ at x = 1 yields the asymptotic constant sigma[g] itself (gregory_constant),
 so sigma() needs no prepared input: it fills g.sigma_constant on first
 use.  sigma_deriv() differentiates the form termwise, where the constant
 drops out.  The Gregory terms come from numerics.gregory_terms and every
-unit-step difference from numerics.forward_diffs.
+unit-step difference from numerics.forward_diffs.  Without an
+antiderivative, integral_1^{x+N} g is a cached integral up to an anchor
+30 * 2^k (g.anchor_integrals) plus one short quadrature.
 
 Every route reads its order p from g.p, the decay degree of g.  Two
 independent routes are kept as cross-checks:
@@ -67,7 +69,8 @@ class GFunction:
     shape certify g in D^p intersect K^p (caller's responsibility,
     normally via shape.classify or catalog metadata); sigma_constant
     caches sigma[g] once sigma() or constants.asymptotic_constant has
-    computed it.
+    computed it; anchor_integrals caches integral_1^{30 * 2^k} g, k = 0,
+    1, ..., for integral_from_1 (a tuple: replace() copies never alias).
     """
 
     eval: Callable[[float], float]
@@ -77,6 +80,7 @@ class GFunction:
     shape: str
     name: str
     sigma_constant: Optional[float] = field(default=None, repr=False)
+    anchor_integrals: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.shape not in ("convex", "concave"):
@@ -104,15 +108,31 @@ class SigmaResult:
     terms_used: int
 
 
-def integral_from_1(g: GFunction, y: float, tol: float = 1e-12) -> float:
-    """integral_1^y g(t) dt, by closed form when available else quadrature."""
+def integral_from_1(g: GFunction, y: float) -> float:
+    """integral_1^y g(t) dt, by closed form when available else quadrature.
+
+    Without an antiderivative, y >= 30 takes the cached integral up to the
+    largest anchor a_k = 30 * 2^k <= y (chained up in ascending k, so no
+    value depends on earlier calls) plus one quadrature over [a_k, y].
+    """
     if g.antideriv is not None:
         return g.antideriv(y)
+    if 30.0 <= y < math.inf:
+        k, a = 0, 30.0
+        while 2.0 * a <= y:
+            k, a = k + 1, 2.0 * a
+        while len(g.anchor_integrals) <= k:
+            done = g.anchor_integrals
+            hi = 30.0 * 2.0 ** len(done)
+            lo, below = (hi / 2.0, done[-1]) if done else (1.0, 0.0)
+            g.anchor_integrals = done + (below + integrate(g.eval, lo, hi, _QUAD_TOL).value,)
+        head = g.anchor_integrals[k]
+        return head if y == a else head + integrate(g.eval, a, y, _QUAD_TOL).value
     if y == 1.0:
         return 0.0
     if y > 1.0:
-        return integrate(g.eval, 1.0, y, tol).value
-    return -integrate(g.eval, y, 1.0, tol).value
+        return integrate(g.eval, 1.0, y, _QUAD_TOL).value
+    return -integrate(g.eval, y, 1.0, _QUAD_TOL).value
 
 
 def _reduce_argument(f: Callable[[float], float], x: float) -> tuple[float, float]:
@@ -149,6 +169,7 @@ def f_pn(g: GFunction, n: int, x: float) -> float:
     return math.fsum(terms + _newton_tail(g, n, x))
 
 
+_QUAD_TOL = 1e-12
 _DIRECT_N0 = 8
 _DIRECT_CAP = 1 << 17
 _EULERIAN_N0 = 8
@@ -254,18 +275,19 @@ def gregory_constant(g: GFunction) -> SigmaResult:
     the generalized Fontana-Mascheroni series of constants.fontana_partial,
     moved by N steps through the difference equation so it converges fast.
     err_estimate is the last retained Gregory term plus 4 ulp of the
-    summed magnitudes, plus the quadrature tolerance when g has no
-    antiderivative.  The value is not cached here; see sigma.
+    summed magnitudes, plus 1e-12 per quadrature piece of integral_1^61 g
+    ([1, 30], [30, 60], [60, 61]) when g has no antiderivative.  The value
+    is not cached here; see sigma.
     """
-    N, J, quad_tol = 60, 12, 1e-12
+    N, J = 60, 12
     terms = gregory_terms(g.eval, 1.0 + N, J)
     shifted = [g.eval(1.0 + k) for k in range(N)]
-    integral = integral_from_1(g, 1.0 + N, quad_tol)
+    integral = integral_from_1(g, 1.0 + N)
     value = math.fsum(shifted) - integral + math.fsum(terms)
     scale = math.fsum(abs(v) for v in shifted) + abs(integral)
     err = abs(terms[-1]) + 4.0 * sys.float_info.epsilon * scale
     if g.antideriv is None:
-        err += quad_tol
+        err += 3.0 * _QUAD_TOL
     return SigmaResult(value, err, "gregory", N + J)
 
 

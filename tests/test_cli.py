@@ -84,6 +84,8 @@ def test_eval_rejects_bad_inputs():
     # the value overflows double precision: a convergence failure, not inf
     assert run_cli("eval", "--fn", "ln", "--x", "1e308")[0] == 3
     assert run_cli("eval", "--fn", "ln", "--x", "1e308", "--format", "json")[0] == 3
+    # an expression integrates up to x + N with no quadrature midpoint overflowing
+    assert run_cli("eval", "--expr", "1/x + ln(x)", "--x", "1e308")[0] == 3
     # out-of-range overrides are bad input, not a traceback
     assert run_cli("eval", "--fn", "ln", "--p", "-1", "--x", "2")[0] == 2
     assert run_cli("tabulate", "--fn", "ln", "--from", "1", "--to", "2", "--step", "0.5",
@@ -95,6 +97,16 @@ def test_eval_rejects_bad_inputs():
         assert run_cli("constants", "--fn", "ln", "--p", p)[0] == 2, p
     assert run_cli("constants", "--fn", "psi2g", "--p", "1")[0] == 2
     assert run_cli("constants", "--fn", "psi2g", "--p", "2")[0] == 0
+    # every subcommand rejects a p below the decay degree; a larger p still runs
+    below = ("--fn", "psi2g", "--p", "1")
+    assert run_cli("eval", *below, "--x", "2")[0] == 2
+    assert run_cli("tabulate", *below, "--from", "10", "--to", "1000", "--step", "330")[0] == 2
+    assert run_cli("expand", *below, "--x", "5")[0] == 2
+    assert run_cli("verify", *below, "--suite", "stirling")[0] == 2
+    assert run_cli("eval", "--fn", "ln", "--p", "3", "--x", "2")[0] == 0
+    assert run_cli("tabulate", "--fn", "ln", "--p", "3", "--from", "1", "--to", "2",
+                   "--step", "0.5")[0] == 0
+    assert run_cli("verify", "--fn", "ln", "--p", "3", "--suite", "wendel")[0] == 0
 
 
 def test_eval_unreachable_tolerance_is_convergence_failure():

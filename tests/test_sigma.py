@@ -1,8 +1,10 @@
 """The indefinite-sum engine: limit definition, both series strategies,
 the dispatcher, and termwise derivatives."""
 
+import dataclasses
 import inspect
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import indefsum.sigma as sigma_module
 from indefsum import asymptotics, constants, identities
 from indefsum.catalog import CATALOG_NAMES, builtin, from_expression
+from indefsum.numerics import integrate
 from indefsum.sigma import (
     GFunction,
     f_pn,
@@ -65,6 +68,72 @@ def test_integral_from_1_quadrature_route_matches_closed_form():
     entry = from_expression("ln(x)", p=1, shape="concave")
     assert integral_from_1(entry.g, 3.0) == pytest.approx(
         3.0 * math.log(3.0) - 2.0, abs=1e-10)
+
+
+# the benchmark's two expressions, with their decay degree and shape
+EXPRESSIONS = {"1/x + ln(x)": (1, "concave"), "x*ln(x) - x + ln(2*pi)/2": (2, "concave")}
+ANCHORS = [30.0 * 2.0 ** k for k in range(10)]
+
+
+def expression_g(src):
+    p, shape = EXPRESSIONS[src]
+    return from_expression(src, p=p, shape=shape).g
+
+
+@pytest.mark.parametrize("src", EXPRESSIONS)
+def test_anchored_integral_matches_one_shot_quadrature(src):
+    # each quadrature piece is good to 1e-12, and so is the one-shot reference
+    g = expression_g(src)
+    rng = random.Random(10)
+    ys = ANCHORS + [math.nextafter(a, 0.0) for a in ANCHORS]
+    ys += [math.exp(rng.uniform(math.log(30.0), math.log(2e4))) for _ in range(200)]
+    for y in ys:
+        got = integral_from_1(g, y)
+        want = integrate(g.eval, 1.0, y, 1e-12).value
+        below = [a for a in ANCHORS if a <= y]
+        pieces = len(below) + (y != below[-1]) if below else 1
+        ulp = math.ulp(max(abs(got), abs(want)))
+        assert abs(got - want) <= (pieces + 1) * 1e-12 + 8.0 * ulp, (src, y, got - want)
+
+
+@pytest.mark.parametrize("src", EXPRESSIONS)
+def test_sigma_on_expression_is_independent_of_query_order(src):
+    xs = [0.5, 7.3, 29.9, 30.0, 45.0, 100.0, 250.0, 1e3, 5e3, 1e4]
+    up, down = expression_g(src), expression_g(src)
+    ascending = [sigma(up, x) for x in xs]
+    descending = [sigma(down, x) for x in reversed(xs)][::-1]
+    assert ascending == descending
+    assert up.anchor_integrals == down.anchor_integrals
+
+
+def test_anchor_cache_of_a_copy_leaves_the_original_alone():
+    g = expression_g("1/x + ln(x)")
+    integral_from_1(g, 31.0)
+    before = g.anchor_integrals
+    copy = dataclasses.replace(g, p=2)
+    integral_from_1(copy, 1e3)
+    assert len(before) == 1 and len(copy.anchor_integrals) == 6
+    assert g.anchor_integrals is before
+    assert copy.anchor_integrals[0] == before[0]
+
+
+@pytest.mark.parametrize("src", EXPRESSIONS)
+def test_expression_point_costs_one_short_quadrature(src):
+    g = expression_g(src)
+    for x in (0.5, 7.3, 1e4):
+        sigma(g, x)  # fills sigma[g] and the anchors up to x + N
+    calls = [0]
+    inner = g.eval
+
+    def counted(t):
+        calls[0] += 1
+        return inner(t)
+
+    g.eval = counted
+    for x in (0.5, 7.3, 1e4):
+        calls[0] = 0
+        sigma(g, x)
+        assert calls[0] <= 60, (src, x, calls[0])
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +264,13 @@ def test_difference_equation_psi2(psi2_entry, x):
     assert abs(resid) <= 1e-9
 
 
-@given(name=st.sampled_from(CATALOG_NAMES),
+@given(name=st.sampled_from(CATALOG_NAMES + tuple(EXPRESSIONS)),
        logx=st.floats(min_value=math.log(0.01), max_value=math.log(1e4)))
 @settings(max_examples=200, deadline=None)
 def test_difference_equation_within_err_estimate(name, logx):
-    # Sigma g(x+1) - Sigma g(x) = g(x), up to both estimates plus roundoff
-    g = builtin(name).g
+    # Sigma g(x+1) - Sigma g(x) = g(x), up to both estimates plus roundoff;
+    # on an expression x + N and x + 1 + N may straddle a cached anchor
+    g = builtin(name).g if name in CATALOG_NAMES else expression_g(name)
     x = math.exp(logx)
     lo, hi, gx = sigma(g, x), sigma(g, x + 1.0), g.eval(x)
     resid = hi.value - lo.value - gx
