@@ -218,8 +218,8 @@ CATALOG_NAMES = ("ln", "psi2g", "xlnx", "recip")
 
 
 def from_expression(src: str, p: Optional[int] = None, shape: Optional[str] = None,
-                    name: Optional[str] = None, rng=None) -> CatalogEntry:
-    """Build a CatalogEntry from expression-language source text.
+                    rng=None) -> CatalogEntry:
+    """Build a CatalogEntry, named by its source text, from expression-language source.
 
     p and shape come from classify() unless overridden; no closed forms
     or oracle are attached, so only engine-internal invariants apply.
@@ -236,7 +236,6 @@ def from_expression(src: str, p: Optional[int] = None, shape: Optional[str] = No
         report = classify(g_eval, rng=rng)
         p = report.p if p is None else p
         shape = report.shape if shape is None else shape
-    g = GFunction(eval=g_eval, jet=g_jet, antideriv=None, p=p, shape=shape,
-                  name=name or src)
+    g = GFunction(eval=g_eval, jet=g_jet, antideriv=None, p=p, shape=shape, name=src)
     return CatalogEntry(name=g.name, g=g, sigma_closed=None, gamma_closed=None,
                         offset=0.0, reference=None)

@@ -15,7 +15,8 @@ exp(b*ln(a)) for a genuinely variable exponent.
 Evaluation is Taylor-mode: eval_jet returns the truncated power-series
 coefficients c_k = g^(k)(x)/k! in one pass over the tree, which is what
 the derivative-hungry callers (Sigma derivatives, asymptotic
-expansions) consume.
+expansions) consume.  Trees are parsed and evaluated here, never printed;
+the round-trip printer the tests use is in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "parse",
     "evaluate",
     "eval_jet",
-    "pretty",
 ]
 
 
@@ -536,62 +536,3 @@ def eval_jet(e: Expr, x: float, r: int) -> Jet:
     if r < 0 or r > 8:
         raise ValueError("jet order r must be in 0..8")
     return Jet(center=x, coeffs=tuple(_eval_jet_node(e, x, r)))
-
-
-# Precedence levels for minimal-parenthesis printing
-_LEVEL_ADD = 1
-_LEVEL_MUL = 2
-_LEVEL_NEG = 3
-_LEVEL_POW = 4
-_LEVEL_ATOM = 5
-
-_BIN_TOKEN = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
-
-
-def _level(e: Expr) -> int:
-    if isinstance(e, Binary):
-        if e.op == "pow":
-            return _LEVEL_POW
-        if e.op in ("mul", "div"):
-            return _LEVEL_MUL
-        return _LEVEL_ADD
-    if isinstance(e, Unary):
-        return _LEVEL_NEG if e.op == "neg" else _LEVEL_ATOM
-    return _LEVEL_ATOM
-
-
-def _wrap(s: str, need: bool) -> str:
-    return f"({s})" if need else s
-
-
-def pretty(e: Expr) -> str:
-    """Minimal-parenthesis rendering; parse(pretty(e)) reproduces e."""
-    if isinstance(e, Literal):
-        return repr(e.value)
-    if isinstance(e, Constant):
-        return e.name
-    if isinstance(e, Variable):
-        return "x"
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            child = pretty(e.child)
-            return "-" + _wrap(child, _level(e.child) <= _LEVEL_NEG)
-        return f"{e.op}({pretty(e.child)})"
-    if isinstance(e, Binary):
-        op = e.op
-        left = pretty(e.left)
-        right = pretty(e.right)
-        if op == "pow":
-            # left slot is an atom in the grammar; right slot is a factor
-            return (
-                _wrap(left, _level(e.left) <= _LEVEL_POW)
-                + "^"
-                + _wrap(right, _level(e.right) <= _LEVEL_MUL)
-            )
-        lvl = _LEVEL_MUL if op in ("mul", "div") else _LEVEL_ADD
-        return (
-            _wrap(left, _level(e.left) < lvl)
-            + _BIN_TOKEN[op]
-            + _wrap(right, _level(e.right) <= lvl)
-        )
-    raise AssertionError(type(e))

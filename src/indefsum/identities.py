@@ -1,8 +1,9 @@
 """Residual evaluators for the identity and inequality families.
 
 Each function evaluates both sides of one displayed identity with the
-engine and returns the residual (or both sides, where the verification
-needs them).  The psi_-2 specializations fix g(x) = x ln x - x +
+engine and returns them as (lhs, rhs), whose difference the caller takes
+as the residual, or a residual report where a chain of inequalities
+needs one.  The psi_-2 specializations fix g(x) = x ln x - x +
 ln(2 pi)/2 and compare the normalized Sigma g plus its offset against
 closed forms built from the named constants.
 """
@@ -18,7 +19,7 @@ from .numerics import gen_binomial, integrate, integrate_singular, zeta_int, \
 from .sigma import GFunction, integral_from_1, sigma
 from .constants import asymptotic_constant
 from .asymptotics import binet
-from .catalog import builtin, named_constant, reference_digamma
+from .catalog import builtin, named_constant
 from .exprlang import Jet
 
 # unique positive zero of the digamma function; gates the Gautschi chain
@@ -71,11 +72,6 @@ def raabe_sides(g: GFunction, x: float = 1.0) -> tuple[float, float]:
     return lhs, rhs
 
 
-def raabe_residual(g: GFunction, x: float = 1.0) -> float:
-    lhs, rhs = raabe_sides(g, x)
-    return lhs - rhs
-
-
 # ---------------------------------------------------------------------------
 # Multiplication
 
@@ -120,11 +116,6 @@ def mult_sides(g: GFunction, m: int = 1, x: float = 1.0) -> tuple[float, float]:
     return lhs, rhs
 
 
-def mult_residual(g: GFunction, m: int = 1, x: float = 1.0) -> float:
-    lhs, rhs = mult_sides(g, m, x)
-    return lhs - rhs
-
-
 def mult_finite_sum_psi2(m: int) -> tuple[float, float]:
     """(engine sum_{j=1}^{m-1} psi_-2(j/m), its closed form).
 
@@ -141,13 +132,6 @@ def mult_finite_sum_psi2(m: int) -> tuple[float, float]:
     return engine, closed
 
 
-def mult_scaling_limit_psi2(x: float, m_list) -> list[float]:
-    """Sequence psi_-2(m x)/m^2 - (x^2/2) ln m; tends to (x^2/2) ln x - 3 x^2/4."""
-    if x <= 0.0:
-        raise ValueError("x must be positive")
-    return [psi2_value(m * x) / (m * m) - 0.5 * x * x * math.log(m) for m in m_list]
-
-
 # ---------------------------------------------------------------------------
 # Webster functional equation
 
@@ -160,11 +144,6 @@ def webster_sides(m: int, x: float) -> tuple[float, float]:
         psi2_value(x + j / m + 1.0 / m) - psi2_value(x + j / m) for j in range(m)
     )
     return lhs, entry.g.eval(x)
-
-
-def webster_check(m: int, x: float) -> float:
-    lhs, rhs = webster_sides(m, x)
-    return lhs - rhs
 
 
 # ---------------------------------------------------------------------------
@@ -193,23 +172,17 @@ def _wallis_partials(n: int, ms: tuple[int, ...]) -> list[tuple[float, float]]:
     return out
 
 
-def wallis_partial_psi2(n: int) -> tuple[float, float]:
-    """Normalized alternating partial sums of g and psi_-2 up to 2n.
-
-    first  = (n + 1/4) ln n - n(1 - ln 2) + sum_{k<=2n} (-1)^{k-1} g(k)
-    second = n^2 ln(2n) - 3n^2/2 + n ln(2 pi)/2 - (ln n)/12
-             + sum_{k<=2n} (-1)^{k-1} psi_-2(k)
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return _wallis_partials(n, (n,))[0]
-
-
 def wallis_extrapolated(n: int) -> tuple[float, float]:
-    """One Richardson step over (n/2, n); removes the O(1/n) error term.
+    """One Richardson step over the partials at m = n/2 and m = n.
 
-    Both partials come from one pass over the terms up to 2n and equal
-    wallis_partial_psi2(n // 2) and wallis_partial_psi2(n) bit for bit.
+    The partial at m is the pair of normalized alternating sums up to 2m,
+
+      first  = (m + 1/4) ln m - m(1 - ln 2) + sum_{k<=2m} (-1)^{k-1} g(k)
+      second = m^2 ln(2m) - 3m^2/2 + m ln(2 pi)/2 - (ln m)/12
+               + sum_{k<=2m} (-1)^{k-1} psi_-2(k);
+
+    the step removes their O(1/m) error term.  Both partials come from one
+    pass over the terms up to 2n.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
@@ -242,30 +215,23 @@ def reflection_sides_psi2(x: float) -> tuple[float, float]:
     return lhs, rhs
 
 
-def reflection_residual_psi2(x: float) -> float:
-    lhs, rhs = reflection_sides_psi2(x)
-    return lhs - rhs
-
-
 # ---------------------------------------------------------------------------
 # Taylor and Euler-type series
 
-def taylor_psi2(x: float, N: int = 60) -> float:
-    """Partial Taylor sum of psi_-2(1+x) about 0.
+_TAYLOR_TERMS = 60
+
+
+def taylor_psi2(x: float) -> float:
+    """Partial Taylor sum of psi_-2(1+x) about 0, N = 60.
 
     ln(2 pi)/2 - gamma x^2/2 + sum_{n=3}^N (-1)^(n-1) zeta(n-1)/(n(n-1)) x^n.
-    zeta(n-1) is replaced by 1 beyond the exact-table range; the swap is
-    below 1e-18 for n-1 > 60.
     """
     if abs(x) > 0.75:
         raise ValueError("|x| must be <= 0.75")
-    if not 3 <= N <= 200:
-        raise ValueError("N must be in 3..200")
     terms = [0.5 * named_constant("ln_2pi"),
              -0.5 * named_constant("euler_gamma") * x * x]
-    for n in range(3, N + 1):
-        z = zeta_int(n - 1) if n - 1 <= 60 else 1.0
-        terms.append((-1.0) ** (n - 1) * z / (n * (n - 1)) * x ** n)
+    for n in range(3, _TAYLOR_TERMS + 1):
+        terms.append((-1.0) ** (n - 1) * zeta_int(n - 1) / (n * (n - 1)) * x ** n)
     return math.fsum(terms)
 
 
@@ -279,24 +245,17 @@ def euler_series_closed() -> float:
     )
 
 
-def euler_series_analogue(N: int, accelerated: bool = True) -> float:
+def euler_series_analogue(N: int) -> float:
     """Partial sum of sum_{n>=2} (-1)^n zeta(n)/(n(n+1)(n+2)).
 
     The raw alternating sum converges like 2^-N, far too slowly for
-    twelve digits by N = 50; the accelerated form splits zeta(n) =
+    twelve digits by N = 50; this accelerated form splits zeta(n) =
     1 + (zeta(n)-1), sums the pure-1 part in closed form (17/12 - 2 ln 2)
     and keeps the fast (zeta(n)-1) remainder.  Terms beyond the zeta
     table contribute below 1e-18 and are dropped.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    if not accelerated:
-        if N > 60:
-            raise ValueError("raw mode is limited to N <= 60")
-        return math.fsum(
-            (-1.0) ** n * zeta_int(n) / (n * (n + 1) * (n + 2))
-            for n in range(2, N + 1)
-        )
     base = 17.0 / 12.0 - 2.0 * math.log(2.0)
     tail = [
         (-1.0) ** n * zeta_int_minus_1(n) / (n * (n + 1) * (n + 2))
@@ -382,7 +341,7 @@ def inequality_report_psi2(x: float, a: float) -> ResidualReport:
     # Stirling-based: 0 <= -J^3[Sigma g](x)
     #                   <= integral_0^1 C(t-1,2)(dg(x+t) - dg(x)) dt
     #                   <= (5/12) d2g(x)
-    s1 = -binet(entry.g, x, mode="explicit")
+    s1 = -binet(entry.g, x)
     dgx = dg(x)
     s2 = integrate(
         lambda t: 0.5 * (t - 1.0) * (t - 2.0) * (dg(x + t) - dgx),
@@ -431,46 +390,10 @@ _SUP_GAP_GRID = tuple(
 )
 
 
-def alpha_beta_sup_gap(grid=None) -> float:
-    """max_x (beta - alpha) over the grid; the supremum is reached as x -> 0."""
-    if grid is None:
-        grid = _SUP_GAP_GRID
+def alpha_beta_sup_gap() -> float:
+    """max_x (beta - alpha) over a fixed grid; the supremum is reached as x -> 0."""
     gaps = []
-    for x in grid:
+    for x in _SUP_GAP_GRID:
         alpha, beta = bounds_alpha_beta(x)
         gaps.append(beta - alpha)
     return max(gaps)
-
-
-# ---------------------------------------------------------------------------
-# Alternative characterization
-
-def characterization_limit_psi2(x: float, n: int) -> float:
-    """f(x+n) - f(n) - x ln Gamma(n) - (x^2/2) ln n with f = engine psi_-2.
-
-    Converges to 0 as n grows exactly when f is the right solution; the
-    rate is empirical.
-    """
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if x == 0.0:
-        return 0.0
-    return (
-        psi2_value(x + n) - psi2_value(float(n))
-        - x * lngamma_value(float(n))
-        - 0.5 * x * x * math.log(n)
-    )
-
-
-def gautschi_root_check(tol: float = 1e-12) -> float:
-    """Bisection root of the digamma oracle near x_0; returns |root - stored|."""
-    lo, hi = 1.0, 2.0
-    while hi - lo > tol / 4.0:
-        mid = 0.5 * (lo + hi)
-        if reference_digamma(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return abs(0.5 * (lo + hi) - GAUTSCHI_X0)

@@ -2,8 +2,7 @@
 
 Generalized binomials, forward and divided differences, Gregory
 coefficients and the terms of Gregory's formula, Bernoulli numbers,
-integer zeta values, interpolation polynomial evaluation, adaptive
-quadrature, and sequence extrapolation.
+integer zeta values, and adaptive quadrature.
 Everything here is scalar, pure, and deterministic.
 """
 
@@ -334,55 +333,3 @@ def integrate_singular(
         res = integrate(lambda u: 2.0 * u * f(b - u * u), 0.0, w, tol)
         return res
     raise ValueError("end must be 'left' or 'right'")
-
-
-def interp_poly_eval(
-    g: Callable[[float], float], a: float, p: int, x: float
-) -> float:
-    """Interpolating polynomial of g at nodes a, a+1, ..., a+p-1, at x.
-
-    Newton form with unit-spaced nodes (level-k divided differences
-    divide by k); exact for polynomials of degree < p and reproduces the
-    node values to roundoff.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    level = [g(a + i) for i in range(p)]
-    coeffs = [level[0]]
-    for k in range(1, p):
-        level = [(level[i + 1] - level[i]) / k for i in range(len(level) - 1)]
-        coeffs.append(level[0])
-    acc = coeffs[-1]
-    for k in range(p - 2, -1, -1):
-        acc = coeffs[k] + (x - (a + k)) * acc
-    return acc
-
-
-def richardson_extrapolate(
-    snapshots: Sequence[float], ratio: float = 2.0
-) -> tuple[float, float]:
-    """Accelerate snapshots S(h), S(h/ratio), S(h/ratio^2), ...
-
-    Assumes the error expands in integer powers of h. Builds the
-    classical triangular table and returns the diagonal entry with the
-    smallest consecutive-diagonal difference, together with that
-    difference as the error estimate; best-tracking keeps the result
-    stable when later rows hit a roundoff floor.
-    """
-    seq = list(snapshots)
-    if not seq:
-        raise ValueError("at least one snapshot required")
-    table = [[seq[0]]]
-    best = seq[0]
-    besterr = math.inf
-    for s in seq[1:]:
-        row = [s]
-        prev = table[-1]
-        for j in range(len(prev)):
-            fac = ratio ** (j + 1)
-            row.append((fac * row[j] - prev[j]) / (fac - 1.0))
-        err = abs(row[-1] - prev[-1])
-        if err < besterr:
-            best, besterr = row[-1], err
-        table.append(row)
-    return best, besterr

@@ -3,7 +3,7 @@
 A function g is admitted by the summation engine when some forward
 difference order p has Delta^p g(n) -> 0 and g is eventually p-convex or
 p-concave.  Nothing here is a proof; it is a finite sampling protocol with
-explicit knobs, meant to pick a sensible p and shape automatically while
+fixed settings, meant to pick a sensible p and shape automatically while
 letting the caller override both.
 """
 
@@ -40,36 +40,39 @@ class ShapeReport:
 
 
 _P_CAP = 6
+# the decay test samples |Delta^p g(n)| at n = _N_MAX/4, _N_MAX/2, _N_MAX
+_N_MAX = 4096
+_ETA = 1e-3
+# divided differences sampled per shape window
+_SAMPLES = 200
 _GROWTH_ANCHORS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 _WINDOW_SPAN = 64.0
 
 
-def _tail_samples(g, p: int, n_max: int) -> list[float]:
+def _tail_samples(g, p: int) -> list[float]:
     return [abs(forward_diffs([g(float(n + i)) for i in range(p + 1)])[p])
-            for n in (n_max // 4, n_max // 2, n_max)]
+            for n in (_N_MAX // 4, _N_MAX // 2, _N_MAX)]
 
 
-def decays_at(g, p: int, n_max: int = 4096, eta: float = 1e-3) -> bool:
+def decays_at(g, p: int) -> bool:
     """Finite test for Delta^p g(n) -> 0.
 
     Passes when |Delta^p g| is non-increasing along n in
-    {n_max/4, n_max/2, n_max} and the last sample is below eta.
+    {1024, 2048, 4096} and the last sample is below 1e-3.
     Non-strict comparison keeps exactly-vanishing differences (polynomials)
     in the accepted set.
     """
-    v = _tail_samples(g, p, n_max)
-    return v[2] <= v[1] <= v[0] and v[2] < eta
+    v = _tail_samples(g, p)
+    return v[2] <= v[1] <= v[0] and v[2] < _ETA
 
 
-def dp_degree(g, n_max: int = 4096, eta: float = 1e-3) -> int:
+def dp_degree(g) -> int:
     """Smallest p <= 6 whose p-th differences decay; ShapeError if none."""
-    if n_max < 64:
-        raise ShapeError("n_max must be >= 64")
     for p in range(_P_CAP + 1):
-        if decays_at(g, p, n_max, eta):
+        if decays_at(g, p):
             return p
     raise ShapeError(
-        "no difference order p <= %d decays below %g by n = %d" % (_P_CAP, eta, n_max)
+        "no difference order p <= %d decays below %g by n = %d" % (_P_CAP, _ETA, _N_MAX)
     )
 
 
@@ -85,9 +88,9 @@ def _distinct_nodes(rng: random.Random, lo: float, hi: float, count: int) -> lis
     return [lo + (i + 1) * step + rng.uniform(-0.25, 0.25) * step for i in range(count)]
 
 
-def kp_check(g, p: int, window: tuple[float, float], rng: random.Random | None = None,
-             samples: int = 200) -> str:
-    """Sample order-(p+1) divided differences; return convex/concave/neither.
+def kp_check(g, p: int, window: tuple[float, float],
+             rng: random.Random | None = None) -> str:
+    """Sample 200 order-(p+1) divided differences; return convex/concave/neither.
 
     convex  : all sampled differences >= -eps
     concave : all sampled differences <= +eps
@@ -104,7 +107,7 @@ def kp_check(g, p: int, window: tuple[float, float], rng: random.Random | None =
     dmin = dmax = 0.0
     magmax = 0.0
     noise = 0.0
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         nodes = _distinct_nodes(rng, lo, hi, p + 2)
         dd = divided_difference(g, nodes)
         dmin = min(dmin, dd)
@@ -128,17 +131,16 @@ def kp_check(g, p: int, window: tuple[float, float], rng: random.Random | None =
     return "neither"
 
 
-def classify(g, rng: random.Random | None = None, n_max: int = 4096,
-             eta: float = 1e-3) -> ShapeReport:
+def classify(g, rng: random.Random | None = None) -> ShapeReport:
     """Select (p, shape) for g and report the certification window.
 
     The shape window is grown geometrically from x0 = 1 until the sampled
     divided differences settle on one sign; "eventually" convex functions
     that misbehave near the origin are still admitted.
     """
-    p = dp_degree(g, n_max, eta)
-    margin = max(_tail_samples(g, p, n_max))
-    minimal = p == 0 or not decays_at(g, p - 1, n_max, eta)
+    p = dp_degree(g)
+    margin = max(_tail_samples(g, p))
+    minimal = p == 0 or not decays_at(g, p - 1)
     for x0 in _GROWTH_ANCHORS:
         lo = max(1.0, float(x0))
         window = (lo, lo + _WINDOW_SPAN)

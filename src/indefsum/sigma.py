@@ -1,6 +1,6 @@
 """Principal indefinite sums Sigma g and their derivatives.
 
-The production path is the shifted Gregory form
+Sigma g is evaluated by the shifted Gregory form
 
   Sigma g(x) = sigma[g] + integral_1^{x+N} g
                - sum_{n=1..J} G_n Delta^{n-1} g(x+N) - sum_{k<N} g(x+k),
@@ -10,24 +10,12 @@ evaluator and takes neither N nor J.  Since Sigma g(1) = 0, the same form
 at x = 1 yields the asymptotic constant sigma[g] itself (gregory_constant),
 so sigma() needs no prepared input: it fills g.sigma_constant on first
 use.  sigma_deriv() differentiates the form termwise, where the constant
-drops out.  The Gregory terms come from numerics.gregory_terms and every
-unit-step difference from numerics.forward_diffs.  Without an
-antiderivative, integral_1^{x+N} g is a cached integral up to an anchor
+drops out.  The Gregory terms come from numerics.gregory_terms.  Without
+an antiderivative, integral_1^{x+N} g is a cached integral up to an anchor
 30 * 2^k (g.anchor_integrals) plus one short quadrature.
 
-Every route reads its order p from g.p, the decay degree of g.  Two
-independent routes are kept as cross-checks:
-
-  sigma_direct    the defining Gauss-style limit f_pn along n = n0 * 2^k
-                  with Richardson extrapolation of the snapshots;
-  sigma_eulerian  the additive Euler-product series with the same
-                  snapshot extrapolation.
-
-All strategies normalize Sigma g(1) = 0. For x > 2 the cross-check
-routes apply exact argument reduction through the difference equation
-Sigma g(x) = Sigma g(x - m) + sum_{k<m} g(x - m + k), evaluating the
-series at x - m in (1, 2] where their convergence is clean, then adding
-the finite sum back.
+The independent routes the tests check this form against (the defining
+Gauss-type limit f^p_n and the Eulerian series) are in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -35,24 +23,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .exprlang import Jet
-from .numerics import (
-    forward_diffs,
-    gen_binomial,
-    gregory_terms,
-    integrate,
-    richardson_extrapolate,
-)
+from .numerics import gregory_terms, integrate
 
 __all__ = [
     "GFunction",
     "SigmaResult",
-    "f_pn",
     "gregory_constant",
-    "sigma_direct",
-    "sigma_eulerian",
     "sigma",
     "sigma_deriv",
     "integral_from_1",
@@ -108,6 +87,9 @@ class SigmaResult:
     terms_used: int
 
 
+_QUAD_TOL = 1e-12
+
+
 def integral_from_1(g: GFunction, y: float) -> float:
     """integral_1^y g(t) dt, by closed form when available else quadrature.
 
@@ -135,144 +117,13 @@ def integral_from_1(g: GFunction, y: float) -> float:
     return -integrate(g.eval, y, 1.0, _QUAD_TOL).value
 
 
-def _reduce_argument(f: Callable[[float], float], x: float) -> tuple[float, float]:
-    # for x > 2 rewrite Sigma f(x) = Sigma f(xr) + sum_{k<m} f(xr+k),
-    # xr = x - m in (1, 2]; exact difference-equation bookkeeping
-    if x <= 2.0:
-        return x, 0.0
-    m = math.ceil(x) - 2
-    xr = x - m
-    shift = math.fsum(f(xr + k) for k in range(m))
-    return xr, shift
-
-
-def _newton_tail(g: GFunction, n: int, x: float) -> list[float]:
-    # C(x, j) Delta^{j-1} g(n) for j = 1..p: the interpolation head of f_pn
-    diffs = forward_diffs([g.eval(float(n + i)) for i in range(g.p)])
-    return [gen_binomial(x, j) * diffs[j - 1] for j in range(1, g.p + 1)]
-
-
-def f_pn(g: GFunction, n: int, x: float) -> float:
-    """The defining approximant f^p_n[g](x), evaluated as a finite sum.
-
-    Terms are arranged pairwise, g(k) - g(x+k), and summed with
-    compensation so the large-n cancellation between the two sums does
-    not dominate the roundoff.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not x > 0.0:
-        raise ValueError("x must be positive")
-    terms = [-g.eval(x)]
-    for k in range(1, n):
-        terms.append(g.eval(float(k)) - g.eval(x + k))
-    return math.fsum(terms + _newton_tail(g, n, x))
-
-
-_QUAD_TOL = 1e-12
-_DIRECT_N0 = 8
-_DIRECT_CAP = 1 << 17
-_EULERIAN_N0 = 8
-_EULERIAN_CAP = 1 << 16
-_MIN_SNAPSHOTS = 4
-
-
-def _check_series_args(x: float, tol: float) -> None:
-    if not x > 0.0:
-        raise ValueError("x must be positive")
-    if tol < 1e-12:
-        raise ValueError("tol must be >= 1e-12")
-
-
-def _extrapolate(partials: Iterator[tuple[int, float]], tol: float, shift: float,
-                 strategy: str) -> SigmaResult:
-    # Richardson-extrapolate snapshots S(n), n = n0 * 2^k, until the last
-    # consecutive-diagonal difference drops below tol or the budget runs out
-    snapshots: list[float] = []
-    for n, partial in partials:
-        snapshots.append(partial)
-        if len(snapshots) >= _MIN_SNAPSHOTS:
-            value, err = richardson_extrapolate(snapshots)
-            if err < tol:
-                return SigmaResult(value + shift, err, strategy, n)
-    value, err = richardson_extrapolate(snapshots)
-    return SigmaResult(value + shift, err, strategy, n)
-
-
-def _direct_partials(g: GFunction, xr: float) -> Iterator[tuple[int, float]]:
-    # f^p_n[g](xr) along n = 8 * 2^k, extending the pair sum incrementally
-    pair_terms = [-g.eval(xr)]
-    n = _DIRECT_N0
-    while n <= _DIRECT_CAP:
-        for k in range(len(pair_terms), n):
-            pair_terms.append(g.eval(float(k)) - g.eval(xr + k))
-        yield n, math.fsum(pair_terms + _newton_tail(g, n, xr))
-        n *= 2
-
-
-def sigma_direct(g: GFunction, x: float, tol: float = 1e-10) -> SigmaResult:
-    """Sigma g(x) as the extrapolated limit of f^p_n[g](x).
-
-    Snapshots along n = 8 * 2^k feed Richardson extrapolation; the last
-    consecutive-diagonal difference is the error estimate. If the
-    budget runs out before tol is met, the best value is returned with
-    err_estimate > tol as the flag (no exception).
-    """
-    _check_series_args(x, tol)
-    xr, shift = _reduce_argument(g.eval, x)
-    return _extrapolate(_direct_partials(g, xr), tol, shift, "direct")
-
-
-def _eulerian_series(g: GFunction, f: Callable[[float], float],
-                     weight: Callable[[float, int], float], x: float,
-                     tol: float) -> SigmaResult:
-    # -f(xr) + sum_{j=1..p} w_j Delta^{j-1} g(1)
-    #        - sum_{n>=1} (f(xr+n) - sum_{j=0..p} w_j Delta^j g(n)),
-    # w_j = weight(xr, j); f = g with binomial weights sums Sigma g, and
-    # f = g^(r) with the r-th derivatives of the binomials sums D^r Sigma g
-    p = g.p
-    xr, shift = _reduce_argument(f, x)
-    w = [weight(xr, j) for j in range(p + 1)]
-
-    def partials() -> Iterator[tuple[int, float]]:
-        fdiffs = forward_diffs([g.eval(float(1 + i)) for i in range(p)])
-        head = [-f(xr)] + [w[j] * fdiffs[j - 1] for j in range(1, p + 1)]
-        # a rolling window over g(n..n+p) keeps the cost at two evaluations per term
-        window = [g.eval(float(1 + i)) for i in range(p + 1)]
-        terms: list[float] = []
-        next_snap = _EULERIAN_N0
-        for n in range(1, _EULERIAN_CAP + 1):
-            diffs = forward_diffs(window)
-            terms.append(-(f(xr + n) - math.fsum(w[j] * diffs[j] for j in range(p + 1))))
-            if n == next_snap:
-                yield n, math.fsum(head + terms)
-                next_snap *= 2
-            window.pop(0)
-            window.append(g.eval(float(n + 1 + p)))
-
-    return _extrapolate(partials(), tol, shift, "eulerian")
-
-
-def sigma_eulerian(g: GFunction, x: float, tol: float = 1e-10) -> SigmaResult:
-    """Sigma g(x) by the Eulerian series.
-
-    -g(x) + sum_{j=1..p} C(x,j) Delta^{j-1} g(1)
-          - sum_{n>=1} (g(x+n) - sum_{j=0..p} C(x,j) Delta^j g(n)).
-
-    Partial sums at N = 8 * 2^k feed the same extrapolation as
-    sigma_direct.
-    """
-    _check_series_args(x, tol)
-    return _eulerian_series(g, g.eval, gen_binomial, x, tol)
-
-
 def gregory_constant(g: GFunction) -> SigmaResult:
     """sigma[g] from the shifted Gregory form at x = 1, where Sigma g(1) = 0.
 
     sigma[g] = sum_{k=1..N} g(k) - integral_1^{N+1} g
                + sum_{n=1..J} G_n Delta^{n-1} g(N+1),   N = 60, J = 12:
 
-    the generalized Fontana-Mascheroni series of constants.fontana_partial,
+    the generalized Fontana-Mascheroni series sum_j G_j Delta^{j-1} g(1),
     moved by N steps through the difference equation so it converges fast.
     err_estimate is the last retained Gregory term plus 4 ulp of the
     summed magnitudes, plus 1e-12 per quadrature piece of integral_1^61 g
@@ -313,42 +164,14 @@ def sigma(g: GFunction, x: float, tol: float = 1e-10) -> SigmaResult:
     return SigmaResult(head - math.fsum(shifted), abs(terms[-1]), "gregory", J + N)
 
 
-def _binom_jet(x: float, j: int, r: int) -> list[float]:
-    # Taylor coefficients in t of C(x + t, j), truncated at order r
-    acc = [0.0] * (r + 1)
-    acc[0] = 1.0
-    for i in range(j):
-        fac = [(x - i), 1.0] + [0.0] * max(0, r - 1)
-        fac = fac[: r + 1]
-        new = [0.0] * (r + 1)
-        for a in range(r + 1):
-            if acc[a] == 0.0:
-                continue
-            for bidx in range(min(2, r + 1 - a)):
-                new[a + bidx] += acc[a] * fac[bidx]
-        acc = new
-    inv = 1.0 / math.factorial(j)
-    return [c * inv for c in acc]
+def sigma_deriv(g: GFunction, x: float, r: int, tol: float = 1e-10) -> SigmaResult:
+    """r-th derivative of Sigma g at x, 0 <= r <= 4 (r=0 delegates to sigma).
 
-
-def sigma_deriv(
-    g: GFunction,
-    x: float,
-    r: int,
-    strategy: str = "gregory",
-    tol: float = 1e-10,
-) -> SigmaResult:
-    """r-th derivative of Sigma g at x, 0 <= r <= 4 (r=0 delegates).
-
-    Default path differentiates the shifted Gregory form (the N of sigma,
+    Differentiates the shifted Gregory form termwise (the N of sigma,
     J = 10): the sigma constant drops out, leaving
 
       D^r Sigma g(x) = g^(r-1)(x+N) - sum_{n=1..J} G_n Delta^{n-1}
                        g^(r)(x+N) - sum_{k<N} g^(r)(x+k).
-
-    strategy="eulerian" differentiates the Eulerian series termwise
-    instead (with d/dx of C(x, j) done by polynomial jet arithmetic);
-    it is slower and kept as an independent cross-check route.
     """
     if r == 0:
         return sigma(g, x, tol)
@@ -362,15 +185,9 @@ def sigma_deriv(
     def dr_of(y: float) -> float:
         return g.jet(y, r).derivative(r)
 
-    if strategy == "gregory":
-        N, J = max(0, math.ceil(30.0 - x)), 10
-        terms = gregory_terms(dr_of, x + N, J)
-        shifted = [dr_of(x + k) for k in range(N)]
-        lead = g.jet(x + N, max(1, r - 1)).derivative(r - 1)
-        return SigmaResult(lead - math.fsum(terms) - math.fsum(shifted), abs(terms[-1]),
-                           "gregory", J + N)
-    if strategy != "eulerian":
-        raise ValueError("strategy must be 'gregory' or 'eulerian'")
-    fact_r = math.factorial(r)
-    return _eulerian_series(g, dr_of, lambda xr, j: fact_r * _binom_jet(xr, j, r)[r],
-                            x, tol)
+    N, J = max(0, math.ceil(30.0 - x)), 10
+    terms = gregory_terms(dr_of, x + N, J)
+    shifted = [dr_of(x + k) for k in range(N)]
+    lead = g.jet(x + N, max(1, r - 1)).derivative(r - 1)
+    return SigmaResult(lead - math.fsum(terms) - math.fsum(shifted), abs(terms[-1]),
+                       "gregory", J + N)

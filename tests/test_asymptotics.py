@@ -5,21 +5,14 @@ import math
 
 import pytest
 
-from indefsum.asymptotics import (
-    asym_expansion,
-    binet,
-    expansion_remainder,
-    liu_formula_psi2,
-    rho,
-    stirling_decay_profile,
-    wendel_residual,
-)
+from indefsum.asymptotics import asym_expansion, binet, expansion_remainder, wendel_residual
 from indefsum.catalog import from_expression, reference_lgamma, reference_psi2
 from indefsum.constants import asymptotic_constant, euler_constant_gen
 from indefsum.numerics import forward_diffs
 from indefsum.sigma import integral_from_1, sigma
 
 from _frozen import LN_2PI, LN_GLAISHER, SIGMA_LN
+from reference import binet_integral, liu_formula_psi2, rho
 
 
 def _binet3_closed_psi2(x: float) -> float:
@@ -108,8 +101,8 @@ def test_binet_psi2_matches_closed_form(psi2_entry, x):
 @pytest.mark.parametrize("x", [1.0, 2.5, 10.0])
 def test_binet_modes_agree(ln_entry, psi2_entry, recip_entry, x):
     for entry in (ln_entry, psi2_entry, recip_entry):
-        explicit = binet(entry.g, x, mode="explicit")
-        integral = binet(entry.g, x, mode="integral")
+        explicit = binet(entry.g, x)
+        integral = binet_integral(entry.g, x)
         assert explicit == pytest.approx(integral, abs=1e-7), entry.name
 
 
@@ -119,14 +112,9 @@ def test_binet_at_one_is_minus_gamma(all_entries):
             -euler_constant_gen(entry.g), abs=1e-8), entry.name
 
 
-def test_binet_rejects_unknown_mode(ln_entry):
-    with pytest.raises(ValueError):
-        binet(ln_entry.g, 2.0, mode="magic")
-
-
 def test_stirling_decay_profile_monotone(ln_entry, psi2_entry):
     for entry in (ln_entry, psi2_entry):
-        prof = stirling_decay_profile(entry.g)
+        prof = [abs(binet(entry.g, x)) for x in (10.0, 100.0, 1000.0)]
         assert all(b < a for a, b in zip(prof, prof[1:])), entry.name
 
 

@@ -155,8 +155,7 @@ def test_from_expression_autoclassifies_psi2_integrand(psi2_entry):
 
 
 def test_from_expression_respects_overrides():
-    entry = from_expression("ln(x)", p=1, shape="concave", name="mylog")
-    assert entry.name == "mylog"
+    entry = from_expression("ln(x)", p=1, shape="concave")
     assert entry.g.p == 1
     assert entry.g.shape == "concave"
     # no oracle attached

@@ -8,16 +8,8 @@ import pytest
 
 from indefsum.catalog import builtin, from_expression
 from indefsum.numerics import integrate
-from indefsum.sigma import gregory_constant, sigma_eulerian
-from indefsum.constants import (
-    asymptotic_constant,
-    b2_fractional,
-    constants_report,
-    euler_constant_gen,
-    fontana_partial,
-    gamma_piecewise_interp,
-    sigma_integral_rep_psi2,
-)
+from indefsum.sigma import gregory_constant
+from indefsum.constants import asymptotic_constant, constants_report, euler_constant_gen
 from indefsum.shape import ShapeError
 
 from _frozen import (
@@ -27,6 +19,8 @@ from _frozen import (
     SIGMA_PSI2G,
     SIGMA_XLNX,
 )
+from reference import b2_fractional, fontana_partial, gamma_piecewise_interp, \
+    sigma_eulerian, sigma_integral_rep_psi2
 
 
 # ---------------------------------------------------------------------------

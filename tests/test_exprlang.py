@@ -15,11 +15,11 @@ from indefsum.exprlang import (
     eval_jet,
     evaluate,
     parse,
-    pretty,
 )
 from indefsum.catalog import named_constant
 
 from _frozen import LN_2PI
+from reference import pretty
 
 
 PIN_SRC = "x*ln(x) - x + ln(2*pi)/2"

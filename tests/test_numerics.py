@@ -20,13 +20,12 @@ from indefsum.numerics import (
     gregory_terms,
     integrate,
     integrate_singular,
-    interp_poly_eval,
-    richardson_extrapolate,
     zeta_int,
     zeta_int_minus_1,
 )
 
 from _frozen import ZETA_2, ZETA_3, psi2_integrand
+from reference import interp_poly_eval, richardson_extrapolate
 
 
 # ---------------------------------------------------------------------------

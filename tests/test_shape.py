@@ -34,11 +34,6 @@ def test_dp_degree_gives_up_on_fast_growth():
         dp_degree(lambda x: x ** 7)
 
 
-def test_dp_degree_rejects_tiny_window():
-    with pytest.raises(ValueError):
-        dp_degree(math.log, n_max=32)
-
-
 def test_membership_is_monotone_in_p(all_entries):
     for entry in all_entries:
         p = entry.g.p

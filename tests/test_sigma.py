@@ -1,5 +1,6 @@
-"""The indefinite-sum engine: limit definition, both series strategies,
-the dispatcher, and termwise derivatives."""
+"""The indefinite-sum engine: the Gregory evaluator against the limit
+definition and the Eulerian series, its public surface, and termwise
+derivatives."""
 
 import dataclasses
 import inspect
@@ -11,18 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indefsum.sigma as sigma_module
-from indefsum import asymptotics, constants, identities
+from indefsum import asymptotics, constants, identities, shape
 from indefsum.catalog import CATALOG_NAMES, builtin, from_expression
 from indefsum.numerics import integrate
 from indefsum.sigma import (
     GFunction,
-    f_pn,
     gregory_constant,
     integral_from_1,
     sigma,
     sigma_deriv,
-    sigma_direct,
-    sigma_eulerian,
 )
 
 from _frozen import (
@@ -33,6 +31,7 @@ from _frozen import (
     PSI2_HALF,
     TRIGAMMA_3,
 )
+from reference import f_pn, sigma_deriv_eulerian, sigma_direct, sigma_eulerian
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +289,9 @@ def test_sigma_signature_is_fixed():
 
 
 def test_engine_functions_read_p_from_g():
-    # p is a property of g; only rho (a plain callable) and the ignored p of
-    # asymptotic_constant (kept for existing callers) still take one
-    allowed = {"indefsum.constants.asymptotic_constant", "indefsum.asymptotics.rho"}
+    # p is a property of g; only the ignored p of asymptotic_constant (kept
+    # for existing callers) still takes one
+    allowed = {"indefsum.constants.asymptotic_constant"}
     taking_p = {
         f"{mod.__name__}.{fname}"
         for mod in (sigma_module, constants, asymptotics, identities)
@@ -301,6 +300,30 @@ def test_engine_functions_read_p_from_g():
         and fn.__module__ == mod.__name__ and "p" in inspect.signature(fn).parameters
     }
     assert taking_p == allowed
+
+
+@pytest.mark.parametrize("fn,params", [
+    (asymptotics.binet, ["g", "x"]),
+    (sigma_deriv, ["g", "x", "r", "tol"]),
+    (identities.euler_series_analogue, ["N"]),
+    (shape.classify, ["g", "rng"]),
+    (shape.dp_degree, ["g"]),
+], ids=["binet", "sigma_deriv", "euler_series_analogue", "classify", "dp_degree"])
+def test_one_path_signatures_are_pinned(fn, params):
+    # one algorithm per function: no mode, strategy or acceleration switch,
+    # and no knob that every caller leaves at one value
+    assert list(inspect.signature(fn).parameters) == params
+
+
+def test_sigma_all_lists_the_public_names():
+    public = {
+        name for name, obj in vars(sigma_module).items()
+        if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == sigma_module.__name__
+    }
+    assert sorted(sigma_module.__all__) == sorted(public) == [
+        "GFunction", "SigmaResult", "gregory_constant", "integral_from_1", "sigma",
+        "sigma_deriv"]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +349,7 @@ def test_sigma_deriv_r0_delegates(ln_entry):
 
 def test_sigma_deriv_strategies_agree(ln_entry):
     a = sigma_deriv(ln_entry.g, 1.7, 1).value
-    b = sigma_deriv(ln_entry.g, 1.7, 1, strategy="eulerian").value
+    b = sigma_deriv_eulerian(ln_entry.g, 1.7, 1, 1e-10).value
     assert a == pytest.approx(b, abs=1e-9)
 
 
