@@ -164,7 +164,7 @@ def sigma(g: GFunction, x: float, tol: float = 1e-10) -> SigmaResult:
     return SigmaResult(head - math.fsum(shifted), abs(terms[-1]), "gregory", J + N)
 
 
-def sigma_deriv(g: GFunction, x: float, r: int, tol: float = 1e-10) -> SigmaResult:
+def sigma_deriv(g: GFunction, x: float, r: int) -> SigmaResult:
     """r-th derivative of Sigma g at x, 0 <= r <= 4 (r=0 delegates to sigma).
 
     Differentiates the shifted Gregory form termwise (the N of sigma,
@@ -174,7 +174,7 @@ def sigma_deriv(g: GFunction, x: float, r: int, tol: float = 1e-10) -> SigmaResu
                        g^(r)(x+N) - sum_{k<N} g^(r)(x+k).
     """
     if r == 0:
-        return sigma(g, x, tol)
+        return sigma(g, x)
     if r < 0 or r > 4:
         raise ValueError("derivative order r must be in 0..4")
     if not x > 0.0:

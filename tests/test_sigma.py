@@ -304,7 +304,7 @@ def test_engine_functions_read_p_from_g():
 
 @pytest.mark.parametrize("fn,params", [
     (asymptotics.binet, ["g", "x"]),
-    (sigma_deriv, ["g", "x", "r", "tol"]),
+    (sigma_deriv, ["g", "x", "r"]),
     (identities.euler_series_analogue, ["N"]),
     (shape.classify, ["g", "rng"]),
     (shape.dp_degree, ["g"]),
