@@ -362,6 +362,16 @@ _SUITES = {
     "euler-series": _suite_euler_series,
     "inequalities": _suite_inequalities,
 }
+# the grid flags each runner reads (ms is --m, xs is --x); a suite not listed reads neither
+_GRID_FLAGS = {
+    "raabe": ("--x",),
+    "mult": ("--m", "--x"),
+    "wendel": ("--x",),
+    "stirling": ("--x",),
+    "webster": ("--m", "--x"),
+    "reflection": ("--x",),
+    "taylor": ("--x",),
+}
 
 
 def cmd_verify(cfg: RunConfig, suite: str, ms: Optional[list[int]],
@@ -371,6 +381,10 @@ def cmd_verify(cfg: RunConfig, suite: str, ms: Optional[list[int]],
         wanted = [s for s in _SUITES if entry.name == "psi2g" or s not in _PSI2_ONLY_SUITES]
     elif suite in _SUITES:
         wanted = [suite]
+        # a grid the named suite would ignore is bad input, not a silent pass
+        for flag, grid in (("--m", ms), ("--x", xs)):
+            if grid is not None and flag not in _GRID_FLAGS.get(suite, ()):
+                raise CliInputError(f"suite {suite!r} does not read {flag}")
     else:
         raise CliInputError(f"unknown suite {suite!r}")
     collected = []
@@ -574,8 +588,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run identity/inequality suites")
     p_verify.add_argument("--suite", required=True, choices=list(_SUITES) + ["all"])
-    p_verify.add_argument("--m", help="comma-separated multiplication orders")
-    p_verify.add_argument("--x", help="comma-separated grid override")
+    for flag, what in (("--m", "multiplication orders"), ("--x", "grid override")):
+        readers = ", ".join(s for s, flags in _GRID_FLAGS.items() if flag in flags)
+        p_verify.add_argument(flag, help=f"comma-separated {what} ({readers})")
 
     p_expand = sub.add_parser("expand", parents=[common],
                               help="Bernoulli asymptotic expansion terms")

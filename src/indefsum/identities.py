@@ -16,7 +16,7 @@ from typing import Optional
 
 from .numerics import gen_binomial, integrate, integrate_singular, zeta_int, \
     zeta_int_minus_1
-from .sigma import GFunction, integral_from_1, sigma
+from .sigma import GFunction, integral_from_1, sigma, sigma_steps
 from .constants import asymptotic_constant
 from .asymptotics import binet
 from .catalog import builtin, named_constant
@@ -150,14 +150,16 @@ def webster_sides(m: int, x: float) -> tuple[float, float]:
 # Wallis
 
 def _wallis_partials(n: int, ms: tuple[int, ...]) -> list[tuple[float, float]]:
-    # the partial sums up to 2m for each m <= n in ms: fsums over prefixes of one term list
-    g = builtin("psi2g").g.eval
+    # the partial sums up to 2m for each m <= n in ms: fsums over prefixes of one term
+    # list, whose psi_-2(k) are the engine points psi2_value(k) of one sigma_steps run
+    entry = builtin("psi2g")
+    g = entry.g.eval
     sign = 1.0
     gterms = []
     pterms = []
-    for k in range(1, 2 * n + 1):
+    for k, point in enumerate(sigma_steps(entry.g, 1, 2 * n), start=1):
         gterms.append(sign * g(float(k)))
-        pterms.append(sign * psi2_value(float(k)))
+        pterms.append(sign * (point.value + entry.offset))
         sign = -sign
     out = []
     for m in ms:
@@ -182,7 +184,10 @@ def wallis_extrapolated(n: int) -> tuple[float, float]:
                + sum_{k<=2m} (-1)^{k-1} psi_-2(k);
 
     the step removes their O(1/m) error term.  Both partials come from one
-    pass over the terms up to 2n.
+    pass over the terms up to 2n.  Each psi_-2(k) is a full engine point,
+    equal to psi2_value(k): 2n points, each with its own Gregory head and
+    none stepped from another through the difference equation; sigma_steps
+    only shares the g values and the difference table between neighbours.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
@@ -299,7 +304,8 @@ def inequality_report_psi2(x: float, a: float) -> ResidualReport:
     #           <= |C(a-1,2)| (dg(x+a) - dg(x)) <= ceil(a) |C(a-1,2)| d2g(x)
     s = a * (a - 1.0) * (a - 2.0)
     sgn = 0.0 if s == 0.0 else math.copysign(1.0, s)
-    w1 = sgn * (psi2_value(x + a) - psi2_value(x) - a * g(x)
+    at_xa = psi2_value(x + a)  # shared by the Wendel and Gautschi chains
+    w1 = sgn * (at_xa - psi2_value(x) - a * g(x)
                 - gen_binomial(a, 2) * dg(x))
     w2 = abs(gen_binomial(a - 1.0, 2)) * (dg(x + a) - dg(x))
     w3 = math.ceil(a) * abs(gen_binomial(a - 1.0, 2)) * d2g(x)
@@ -327,7 +333,7 @@ def inequality_report_psi2(x: float, a: float) -> ResidualReport:
     if x + fa >= GAUTSCHI_X0:
         ca = math.ceil(a)
         lo = (a - ca) * lngamma_value(x + ca)
-        mid = psi2_value(x + a) - psi2_value(x + ca)
+        mid = at_xa - psi2_value(x + ca)
         hi = (a - ca) * g(x + fa)
         chain = [lo, mid, hi]
         points.append(("gautschi", x, a, "checked"))

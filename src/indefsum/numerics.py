@@ -133,6 +133,26 @@ def gregory_terms(f: Callable[[float], float], x: float, J: int) -> list[float]:
     return [c * d for c, d in zip(coeffs, diffs)]
 
 
+def gregory_terms_run(values: Sequence[float], J: int) -> list[list[float]]:
+    """gregory_terms at every J-wide window of one unit-step run of values.
+
+    values holds f(y), f(y+1), ..., f(y+m+J-2); entry i of the result is
+    gregory_terms(f, y+i, J), bit for bit: each difference level is built
+    once over the whole run, with the same neighbour subtractions that
+    forward_diffs makes inside one window.  Meant for runs of many
+    windows; a single head is cheaper through gregory_terms.
+    """
+    coeffs = _gregory_floats(J)
+    windows = max(0, len(values) - J + 1)
+    level = list(values)
+    columns = []
+    for n, c in enumerate(coeffs):
+        if n:
+            level = [b - a for a, b in zip(level, level[1:])]
+        columns.append([c * d for d in level[:windows]])
+    return [list(t) for t in zip(*columns)]
+
+
 @lru_cache(maxsize=None)
 def _bernoulli_fraction(k: int) -> Fraction:
     if k == 0:

@@ -9,10 +9,12 @@ with N the smallest shift putting x + N >= 30 and J = 8: sigma() is that
 evaluator and takes neither N nor J.  Since Sigma g(1) = 0, the same form
 at x = 1 yields the asymptotic constant sigma[g] itself (gregory_constant),
 so sigma() needs no prepared input: it fills g.sigma_constant on first
-use.  sigma_deriv() differentiates the form termwise, where the constant
-drops out.  The Gregory terms come from numerics.gregory_terms.  Without
-an antiderivative, integral_1^{x+N} g is a cached integral up to an anchor
-30 * 2^k (g.anchor_integrals) plus one short quadrature.
+use.  sigma_steps() yields the same values along a run of consecutive
+integers from one difference table per block of heads.  sigma_deriv()
+differentiates the form termwise, where the constant drops out.  The
+Gregory terms come from numerics.gregory_terms (gregory_terms_run for a
+run).  Without an antiderivative, integral_1^{x+N} g is a cached integral
+up to an anchor 30 * 2^k (g.anchor_integrals) plus one short quadrature.
 
 The independent routes the tests check this form against (the defining
 Gauss-type limit f^p_n and the Eulerian series) are in tests/reference.py.
@@ -23,10 +25,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .exprlang import Jet
-from .numerics import gregory_terms, integrate
+from .numerics import gregory_terms, gregory_terms_run, integrate
 
 __all__ = [
     "GFunction",
@@ -34,6 +36,7 @@ __all__ = [
     "gregory_constant",
     "sigma",
     "sigma_deriv",
+    "sigma_steps",
     "integral_from_1",
 ]
 
@@ -88,6 +91,11 @@ class SigmaResult:
 
 
 _QUAD_TOL = 1e-12
+# the head of sigma() sits at the first x + N >= _SHIFT_TARGET, with _ORDER Gregory terms
+_SHIFT_TARGET = 30.0
+_ORDER = 8
+# heads per difference table in sigma_steps: bounds its memory, not its values
+_STEP_BLOCK = 256
 
 
 def integral_from_1(g: GFunction, y: float) -> float:
@@ -155,13 +163,54 @@ def sigma(g: GFunction, x: float, tol: float = 1e-10) -> SigmaResult:
     """
     if not x > 0.0:
         raise ValueError("x must be positive")
-    N, J = max(0, math.ceil(30.0 - x)), 8
+    N, J = max(0, math.ceil(_SHIFT_TARGET - x)), _ORDER
     if g.sigma_constant is None:
         g.sigma_constant = gregory_constant(g).value
     terms = gregory_terms(g.eval, x + N, J)
     shifted = [g.eval(x + k) for k in range(N)]
     head = g.sigma_constant + integral_from_1(g, x + N) - math.fsum(terms)
     return SigmaResult(head - math.fsum(shifted), abs(terms[-1]), "gregory", J + N)
+
+
+def sigma_steps(g: GFunction, x: float, n: int) -> Iterator[SigmaResult]:
+    """Sigma g(x), Sigma g(x+1), ..., Sigma g(x+n-1) for an integer x >= 1.
+
+    Each result == sigma(g, x + k), bit for bit, and comes out lazily.  On
+    integers every argument is exact, so the points below the shift target
+    share its one head and their shift sums are tails of one list of g
+    values, and the points from it on take their Gregory terms from
+    gregory_terms_run, one block of heads at a time.  The arguments are
+    checked on the call: x must be an integer >= 1 and n >= 0, with
+    x + n + J <= 2^53 so that every step is exact.
+    """
+    if not (isinstance(n, int) and n >= 0):
+        raise ValueError("n must be an integer >= 0")
+    if not (math.isfinite(x) and x >= 1.0 and float(x).is_integer()):
+        raise ValueError("x must be an integer >= 1")
+    if int(x) + n + _ORDER > 2 ** 53:
+        raise ValueError("x + n is too large for exact unit steps")
+    return _steps(g, float(x), n)
+
+
+def _steps(g: GFunction, x: float, n: int) -> Iterator[SigmaResult]:
+    J, f = _ORDER, g.eval
+    if n and g.sigma_constant is None:
+        g.sigma_constant = gregory_constant(g).value
+    below = max(0, int(_SHIFT_TARGET - x))  # the shifted points x, ..., 29
+    if n and below:
+        terms = gregory_terms(f, _SHIFT_TARGET, J)
+        head = g.sigma_constant + integral_from_1(g, _SHIFT_TARGET) - math.fsum(terms)
+        shifted = [f(x + k) for k in range(below)]
+        for k in range(min(n, below)):
+            yield SigmaResult(head - math.fsum(shifted[k:]), abs(terms[-1]), "gregory",
+                              J + below - k)
+    for first in range(below, n, _STEP_BLOCK):
+        y0 = x + first
+        values = [f(y0 + i) for i in range(min(_STEP_BLOCK, n - first) + J - 1)]
+        for i, terms in enumerate(gregory_terms_run(values, J)):
+            head = g.sigma_constant + integral_from_1(g, y0 + i) - math.fsum(terms)
+            # N = 0 here, and sigma()'s head - fsum([]) is head itself
+            yield SigmaResult(head, abs(terms[-1]), "gregory", J)
 
 
 def sigma_deriv(g: GFunction, x: float, r: int) -> SigmaResult:
@@ -185,7 +234,7 @@ def sigma_deriv(g: GFunction, x: float, r: int) -> SigmaResult:
     def dr_of(y: float) -> float:
         return g.jet(y, r).derivative(r)
 
-    N, J = max(0, math.ceil(30.0 - x)), 10
+    N, J = max(0, math.ceil(_SHIFT_TARGET - x)), 10
     terms = gregory_terms(dr_of, x + N, J)
     shifted = [dr_of(x + k) for k in range(N)]
     lead = g.jet(x + N, max(1, r - 1)).derivative(r - 1)

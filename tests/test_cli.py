@@ -202,6 +202,22 @@ def test_verify_psi2_only_suites_are_gated():
         assert run_cli("verify", *argv)[0] == 3, argv
 
 
+def test_verify_grid_flag_a_named_suite_ignores_is_bad_input(capsys):
+    for suite, flag, value in (("wallis", "--x", "3"), ("euler-series", "--x", "1"),
+                               ("inequalities", "--x", "1"), ("wallis", "--m", "2"),
+                               ("raabe", "--m", "2"), ("taylor", "--m", "2")):
+        code, text = run_cli("verify", "--fn", "psi2g", "--suite", suite, flag, value)
+        err = capsys.readouterr().err
+        assert (code, text) == (2, ""), (suite, flag)
+        assert err.count("\n") == 1 and flag in err and suite in err, err
+    # "all" still hands the grid to the suites that read it
+    code, text = run_cli("verify", "--fn", "ln", "--suite", "all", "--m", "2", "--x", "2,5")
+    assert code == 0
+    reports = {r["identity"]: r["points"] for r in json.loads(text)["reports"]}
+    assert reports["raabe"] == [2.0, 5.0]
+    assert reports["mult"] == [[2, 2.0], [2, 5.0]]
+
+
 # ---------------------------------------------------------------------------
 # expand
 

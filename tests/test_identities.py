@@ -159,7 +159,7 @@ def _wallis_partial_reference(n):
     return h1 + math.fsum(gsum), h2 + math.fsum(psum)
 
 
-@pytest.mark.parametrize("n", [4, 5, 41, 200])
+@pytest.mark.parametrize("n", [4, 5, 41, 200, 10_000])
 def test_wallis_extrapolated_bit_identical_to_two_partials(n):
     half = wallis_partial_psi2(n // 2)
     full = wallis_partial_psi2(n)
