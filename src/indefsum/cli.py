@@ -627,8 +627,8 @@ def run(argv=None, out=None) -> int:
         if args.command == "constants":
             return cmd_constants(cfg, out)
         if args.command == "verify":
-            ms = _parse_ints(args.m, "--m") if args.m else None
-            xs = _parse_floats(args.x, "--x") if args.x else None
+            ms = _parse_ints(args.m, "--m") if args.m is not None else None
+            xs = _parse_floats(args.x, "--x") if args.x is not None else None
             return cmd_verify(cfg, args.suite, ms, xs, out)
         if args.command == "expand":
             return cmd_expand(cfg, args.x, args.q, args.m, out)

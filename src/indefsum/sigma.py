@@ -176,10 +176,9 @@ def sigma_steps(g: GFunction, x: float, n: int) -> Iterator[SigmaResult]:
     """Sigma g(x), Sigma g(x+1), ..., Sigma g(x+n-1) for an integer x >= 1.
 
     Each result == sigma(g, x + k), bit for bit, and comes out lazily.  On
-    integers every argument is exact, so the points below the shift target
-    share its one head and their shift sums are tails of one list of g
-    values, and the points from it on take their Gregory terms from
-    gregory_terms_run, one block of heads at a time.  The arguments are
+    integers every argument is exact, so the points from the shift target
+    on take their Gregory terms from gregory_terms_run, one block of heads
+    at a time; the few points below it are sigma() calls.  The arguments are
     checked on the call: x must be an integer >= 1 and n >= 0, with
     x + n + J <= 2^53 so that every step is exact.
     """
@@ -194,16 +193,11 @@ def sigma_steps(g: GFunction, x: float, n: int) -> Iterator[SigmaResult]:
 
 def _steps(g: GFunction, x: float, n: int) -> Iterator[SigmaResult]:
     J, f = _ORDER, g.eval
-    if n and g.sigma_constant is None:
+    below = min(n, max(0, int(_SHIFT_TARGET - x)))  # the shifted points x, ..., 29
+    for k in range(below):
+        yield sigma(g, x + k)
+    if below < n and g.sigma_constant is None:
         g.sigma_constant = gregory_constant(g).value
-    below = max(0, int(_SHIFT_TARGET - x))  # the shifted points x, ..., 29
-    if n and below:
-        terms = gregory_terms(f, _SHIFT_TARGET, J)
-        head = g.sigma_constant + integral_from_1(g, _SHIFT_TARGET) - math.fsum(terms)
-        shifted = [f(x + k) for k in range(below)]
-        for k in range(min(n, below)):
-            yield SigmaResult(head - math.fsum(shifted[k:]), abs(terms[-1]), "gregory",
-                              J + below - k)
     for first in range(below, n, _STEP_BLOCK):
         y0 = x + first
         values = [f(y0 + i) for i in range(min(_STEP_BLOCK, n - first) + J - 1)]

@@ -210,6 +210,13 @@ def test_verify_grid_flag_a_named_suite_ignores_is_bad_input(capsys):
         err = capsys.readouterr().err
         assert (code, text) == (2, ""), (suite, flag)
         assert err.count("\n") == 1 and flag in err and suite in err, err
+    # an empty grid is given too, not absent: it never falls back to a suite's default
+    for suite, flag in (("wallis", "--x"), ("wallis", "--m"), ("raabe", "--x"),
+                        ("mult", "--m")):
+        code, text = run_cli("verify", "--fn", "psi2g", "--suite", suite, flag, "")
+        err = capsys.readouterr().err
+        assert (code, text) == (2, ""), (suite, flag)
+        assert err.count("\n") == 1 and flag in err, err
     # "all" still hands the grid to the suites that read it
     code, text = run_cli("verify", "--fn", "ln", "--suite", "all", "--m", "2", "--x", "2,5")
     assert code == 0
