@@ -6,7 +6,8 @@ inf included), 3 convergence failure (rows are still emitted), a result
 that is not finite or an arithmetic fault, 4 identity violation or a
 suite that checked nothing.  Output is CSV or JSON, floats rendered by
 repr so identical inputs (and seed) give byte-identical bytes on any
-platform.
+platform.  The argparse tree is built once per process and reused by
+every run() call.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -320,17 +322,9 @@ def _suite_euler_series(entry, ms, xs):
 
 def _suite_inequalities(entry, ms, xs):
     reports = []
-    points, residuals, sides = [], [], []
-    for i in range(1, 21):
-        for j in range(10):
-            x = 0.25 * i
-            a = 0.25 * j
-            rep = identities.inequality_report_psi2(x, a)
-            points.extend(rep.points)
-            residuals.extend(rep.residuals)
-            sides.extend(rep.sides)
-    reports.append((identities.make_report("inequality-chains", points, residuals,
-                                           sides), 1e-9))
+    rep = identities.inequality_chains_psi2([0.25 * i for i in range(1, 21)],
+                                            [0.25 * j for j in range(10)])
+    reports.append((dataclasses.replace(rep, identity="inequality-chains"), 1e-9))
     grid = [0.1 * k for k in range(1, 51)] + [10.0, 20.0, 35.0, 50.0]
     pts, res, sd = [], [], []
     for x in grid:
@@ -551,7 +545,9 @@ def cmd_catalog(cfg_fmt: str, out) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use and reused: parse_args reads the tree and never changes it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--fn", help="catalog function name")
     common.add_argument("--expr", help="expression-language source text")

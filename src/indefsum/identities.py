@@ -5,11 +5,15 @@ engine and returns them as (lhs, rhs), whose difference the caller takes
 as the residual, or a residual report where a chain of inequalities
 needs one.  The psi_-2 specializations fix g(x) = x ln x - x +
 ln(2 pi)/2 and compare the normalized Sigma g plus its offset against
-closed forms built from the named constants.
+closed forms built from the named constants.  The inequality chains
+take a whole (x, a) grid at once (inequality_chains_psi2), so that each
+engine point they share is evaluated once per call; nothing is cached
+beyond the call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -283,81 +287,97 @@ def _chain_violation(members: list[float]) -> float:
 
 
 def inequality_report_psi2(x: float, a: float) -> ResidualReport:
-    """Evaluate the four displayed inequality chains at one (x, a).
+    """The four displayed inequality chains at one (x, a): the one-point grid."""
+    return inequality_chains_psi2([x], [a])
+
+
+def inequality_chains_psi2(xs: list[float], a_grid: list[float]) -> ResidualReport:
+    """Evaluate the four displayed inequality chains on every (x, a), x-major.
 
     Residuals are normalized ordering violations (0 when the chain
     holds).  The Gautschi chain is reported as not-applicable when
-    x + floor(a) < x_0.
+    x + floor(a) < x_0.  A table local to the call evaluates each
+    distinct psi_-2 and ln Gamma point once, and the Stirling-based
+    chain, which depends on x alone, once per x; each sides entry is a
+    list of its own.
     """
-    if x <= 0.0 or a < 0.0:
+    if any(x <= 0.0 for x in xs) or any(a < 0.0 for a in a_grid):
         raise ValueError("require x > 0 and a >= 0")
     entry = builtin("psi2g")
     g = entry.g.eval
     dg = lambda y: g(y + 1.0) - g(y)
     d2g = lambda y: g(y + 2.0) - 2.0 * g(y + 1.0) + g(y)
+    psi2 = functools.cache(psi2_value)
+    lngamma = functools.cache(lngamma_value)
+
+    @functools.cache
+    def stirling(x):
+        # Stirling-based: 0 <= -J^3[Sigma g](x)
+        #                   <= integral_0^1 C(t-1,2)(dg(x+t) - dg(x)) dt
+        #                   <= (5/12) d2g(x)
+        s1 = -binet(entry.g, x)
+        dgx = dg(x)
+        s2 = integrate(
+            lambda t: 0.5 * (t - 1.0) * (t - 2.0) * (dg(x + t) - dgx),
+            0.0, 1.0, tol=1e-11,
+        ).value
+        s3 = (5.0 / 12.0) * d2g(x)
+        chain = (0.0, s1, s2, s3)
+        return chain, _chain_violation(chain)
 
     points = []
     residuals = []
     sides = []
+    for x in xs:
+        for a in a_grid:
+            # Wendel: 0 <= sign(a(a-1)(a-2)) (psi(x+a) - psi(x) - a g(x) - C(a,2) dg(x))
+            #           <= |C(a-1,2)| (dg(x+a) - dg(x)) <= ceil(a) |C(a-1,2)| d2g(x)
+            s = a * (a - 1.0) * (a - 2.0)
+            sgn = 0.0 if s == 0.0 else math.copysign(1.0, s)
+            at_xa = psi2(x + a)  # shared by the Wendel and Gautschi chains
+            w1 = sgn * (at_xa - psi2(x) - a * g(x)
+                        - gen_binomial(a, 2) * dg(x))
+            w2 = abs(gen_binomial(a - 1.0, 2)) * (dg(x + a) - dg(x))
+            w3 = math.ceil(a) * abs(gen_binomial(a - 1.0, 2)) * d2g(x)
+            chain = [0.0, w1, w2, w3]
+            points.append(("wendel", x, a, "checked"))
+            residuals.append(_chain_violation(chain))
+            sides.append(chain)
 
-    # Wendel: 0 <= sign(a(a-1)(a-2)) (psi(x+a) - psi(x) - a g(x) - C(a,2) dg(x))
-    #           <= |C(a-1,2)| (dg(x+a) - dg(x)) <= ceil(a) |C(a-1,2)| d2g(x)
-    s = a * (a - 1.0) * (a - 2.0)
-    sgn = 0.0 if s == 0.0 else math.copysign(1.0, s)
-    at_xa = psi2_value(x + a)  # shared by the Wendel and Gautschi chains
-    w1 = sgn * (at_xa - psi2_value(x) - a * g(x)
-                - gen_binomial(a, 2) * dg(x))
-    w2 = abs(gen_binomial(a - 1.0, 2)) * (dg(x + a) - dg(x))
-    w3 = math.ceil(a) * abs(gen_binomial(a - 1.0, 2)) * d2g(x)
-    chain = [0.0, w1, w2, w3]
-    points.append(("wendel", x, a, "checked"))
-    residuals.append(_chain_violation(chain))
-    sides.append(chain)
+            # Webster: 0 <= psi(x+a+1) - psi(x+floor(a)+1) - {a} g(x+floor(a)+1)
+            #               - C({a},2) dg(x+floor(a)+1)
+            #            <= ({a}/2)(g(x+a) - g(x+floor(a)+1) - ({a}-1) dg(x+floor(a)+1))
+            fa = math.floor(a)
+            fr = a - fa
+            base = x + fa + 1.0
+            b1 = (psi2(x + a + 1.0) - psi2(base) - fr * g(base)
+                  - gen_binomial(fr, 2) * dg(base))
+            b2 = 0.5 * fr * (g(x + a) - g(base) - (fr - 1.0) * dg(base))
+            chain = [0.0, b1, b2]
+            points.append(("webster", x, a, "checked"))
+            residuals.append(_chain_violation(chain))
+            sides.append(chain)
 
-    # Webster: 0 <= psi(x+a+1) - psi(x+floor(a)+1) - {a} g(x+floor(a)+1)
-    #               - C({a},2) dg(x+floor(a)+1)
-    #            <= ({a}/2)(g(x+a) - g(x+floor(a)+1) - ({a}-1) dg(x+floor(a)+1))
-    fa = math.floor(a)
-    fr = a - fa
-    base = x + fa + 1.0
-    b1 = (psi2_value(x + a + 1.0) - psi2_value(base) - fr * g(base)
-          - gen_binomial(fr, 2) * dg(base))
-    b2 = 0.5 * fr * (g(x + a) - g(base) - (fr - 1.0) * dg(base))
-    chain = [0.0, b1, b2]
-    points.append(("webster", x, a, "checked"))
-    residuals.append(_chain_violation(chain))
-    sides.append(chain)
+            # Gautschi: (a - ceil(a)) ln Gamma(x + ceil(a)) <= psi(x+a) - psi(x+ceil(a))
+            #             <= (a - ceil(a)) g(x + floor(a)),  when x + floor(a) >= x_0
+            if x + fa >= GAUTSCHI_X0:
+                ca = math.ceil(a)
+                lo = (a - ca) * lngamma(x + ca)
+                mid = at_xa - psi2(x + ca)
+                hi = (a - ca) * g(x + fa)
+                chain = [lo, mid, hi]
+                points.append(("gautschi", x, a, "checked"))
+                residuals.append(_chain_violation(chain))
+                sides.append(chain)
+            else:
+                points.append(("gautschi", x, a, "not-applicable"))
+                residuals.append(0.0)
+                sides.append([])
 
-    # Gautschi: (a - ceil(a)) ln Gamma(x + ceil(a)) <= psi(x+a) - psi(x+ceil(a))
-    #             <= (a - ceil(a)) g(x + floor(a)),  when x + floor(a) >= x_0
-    if x + fa >= GAUTSCHI_X0:
-        ca = math.ceil(a)
-        lo = (a - ca) * lngamma_value(x + ca)
-        mid = at_xa - psi2_value(x + ca)
-        hi = (a - ca) * g(x + fa)
-        chain = [lo, mid, hi]
-        points.append(("gautschi", x, a, "checked"))
-        residuals.append(_chain_violation(chain))
-        sides.append(chain)
-    else:
-        points.append(("gautschi", x, a, "not-applicable"))
-        residuals.append(0.0)
-        sides.append([])
-
-    # Stirling-based: 0 <= -J^3[Sigma g](x)
-    #                   <= integral_0^1 C(t-1,2)(dg(x+t) - dg(x)) dt
-    #                   <= (5/12) d2g(x)
-    s1 = -binet(entry.g, x)
-    dgx = dg(x)
-    s2 = integrate(
-        lambda t: 0.5 * (t - 1.0) * (t - 2.0) * (dg(x + t) - dgx),
-        0.0, 1.0, tol=1e-11,
-    ).value
-    s3 = (5.0 / 12.0) * d2g(x)
-    chain = [0.0, s1, s2, s3]
-    points.append(("stirling", x, a, "checked"))
-    residuals.append(_chain_violation(chain))
-    sides.append(chain)
+            chain, violation = stirling(x)
+            points.append(("stirling", x, a, "checked"))
+            residuals.append(violation)
+            sides.append(list(chain))
 
     return make_report("inequalities-psi2", points, residuals, sides)
 

@@ -82,11 +82,18 @@ class GFunction:
         return self.jet(x, r).derivative(r)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SigmaResult:
+    """One evaluated point: a plain value, compared with ==, never hashed or cached.
+
+    strategy is "gregory" for everything this package computes, with
+    terms_used = J + N; only the test references (tests/reference.py)
+    label their routes "direct" and "eulerian".
+    """
+
     value: float
     err_estimate: float
-    strategy: str  # direct | eulerian | gregory
+    strategy: str
     terms_used: int
 
 

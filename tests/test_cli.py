@@ -1,5 +1,6 @@
 """Command-line surface: payload shapes, schema conformance, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -223,6 +224,65 @@ def test_verify_grid_flag_a_named_suite_ignores_is_bad_input(capsys):
     reports = {r["identity"]: r["points"] for r in json.loads(text)["reports"]}
     assert reports["raabe"] == [2.0, 5.0]
     assert reports["mult"] == [[2, 2.0], [2, 5.0]]
+
+
+def test_verify_inequalities_evaluates_each_point_once(monkeypatch):
+    # 1,406 sigma() calls at 104 distinct points before the per-call table
+    from indefsum import asymptotics, identities, sigma as sigma_module
+    calls = []
+
+    def counted(g, x, tol=1e-10):
+        calls.append((g.name, x))
+        return sigma_module.sigma(g, x, tol)
+
+    run_cli("verify", "--fn", "psi2g", "--suite", "inequalities")  # warm the constants
+    monkeypatch.setattr(identities, "sigma", counted)
+    monkeypatch.setattr(asymptotics, "sigma", counted)
+    code, _ = run_cli("verify", "--fn", "psi2g", "--suite", "inequalities")
+    assert code == 0
+    assert len(calls) <= 134
+    assert len(set(calls)) == 104
+
+
+# ---------------------------------------------------------------------------
+# the parser, built once per process
+
+def test_run_builds_the_parser_once(monkeypatch):
+    run_cli("catalog")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["catalog"], ["eval", "--fn", "ln", "--x", "2"],
+                 ["constants", "--fn", "recip"], ["verify", "--fn", "psi2g",
+                                                  "--suite", "euler-series"]):
+        assert run_cli(*argv)[0] == 0
+    assert built == []
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_parser_reuse_after_a_rejected_call(capsys):
+    good = ("verify", "--fn", "ln", "--suite", "stirling", "--format", "csv")
+    first = run_cli(*good)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--fn", "ln", "--suite", "nosuch")
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run_cli(*good) == first
+    assert first[0] == 0
+
+
+def test_reused_parser_help_equals_a_fresh_one():
+    def helps(parser):
+        subs = parser._subparsers._group_actions[0].choices
+        return [parser.format_help()] + [subs[name].format_help() for name in subs]
+
+    run_cli("catalog")
+    assert helps(cli._build_parser()) == helps(cli._build_parser.__wrapped__())
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from indefsum.identities import (
     bounds_alpha_beta,
     euler_series_analogue,
     euler_series_closed,
+    inequality_chains_psi2,
     inequality_report_psi2,
     lngamma_value,
     make_report,
@@ -23,6 +24,7 @@ from indefsum.identities import (
     wallis_extrapolated,
     webster_sides,
 )
+from indefsum.asymptotics import binet
 from indefsum.catalog import builtin, reference_lgamma, reference_psi2
 from indefsum.sigma import integral_from_1
 
@@ -232,6 +234,47 @@ def test_gautschi_chain_gated_by_digamma_root():
     assert tags["gautschi"] == "not-applicable"
     tags = {pt[0]: pt[3] for pt in inequality_report_psi2(1.0, 1.25).points}
     assert tags["gautschi"] == "checked"
+
+
+# the grid `verify --suite inequalities` checks
+CLI_XS = [0.25 * i for i in range(1, 21)]
+CLI_AS = [0.25 * j for j in range(10)]
+
+
+def test_inequality_grid_equals_its_points_one_at_a_time():
+    grid = inequality_chains_psi2(CLI_XS, CLI_AS)
+    points, residuals, sides = [], [], []
+    for x in CLI_XS:
+        for a in CLI_AS:
+            rep = inequality_report_psi2(x, a)
+            points += rep.points
+            residuals += rep.residuals
+            sides += rep.sides
+    assert (grid.points, grid.residuals, grid.sides) == (points, residuals, sides)
+    assert grid.max_abs == max(abs(r) for r in residuals)
+
+
+def test_inequality_grid_sides_never_alias():
+    grid = inequality_chains_psi2([0.5, 2.5], CLI_AS)
+    assert len({id(s) for s in grid.sides}) == len(grid.sides)
+    g = builtin("psi2g").g
+    for x in (0.5, 2.5):
+        chains = [s for pt, s in zip(grid.points, grid.sides)
+                  if pt[0] == "stirling" and pt[1] == x]
+        assert len(chains) == len(CLI_AS)
+        # one evaluation per x, handed out as equal lists of their own
+        assert all(c == chains[0] and c is not chains[0] for c in chains[1:])
+        assert chains[0][1] == -binet(g, x)
+        chains[0].append(None)
+        assert all(len(c) == 4 for c in chains[1:])
+
+
+def test_inequality_grid_validation():
+    for xs, a_grid in (([0.0], [0.5]), ([1.0, -1.0], [0.5]), ([1.0], [0.5, -0.25])):
+        with pytest.raises(ValueError):
+            inequality_chains_psi2(xs, a_grid)
+    empty = inequality_chains_psi2([], CLI_AS)
+    assert (empty.points, empty.residuals, empty.max_abs) == ([], [], 0.0)
 
 
 def test_alpha_beta_bounds_bracket_reference():

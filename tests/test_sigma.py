@@ -354,6 +354,17 @@ def test_one_path_signatures_are_pinned(fn, params):
     assert list(inspect.signature(fn).parameters) == params
 
 
+def test_sigma_result_is_a_slotted_plain_value(ln_entry):
+    res = sigma(ln_entry.g, 2.5)
+    assert type(res).__slots__ == ("value", "err_estimate", "strategy", "terms_used")
+    assert not hasattr(res, "__dict__")
+    assert res == sigma(ln_entry.g, 2.5)
+    other = dataclasses.replace(res, value=res.value + 1.0)
+    assert other != res and other.err_estimate == res.err_estimate
+    with pytest.raises(TypeError):
+        hash(res)
+
+
 def test_sigma_all_lists_the_public_names():
     public = {
         name for name, obj in vars(sigma_module).items()
