@@ -29,7 +29,7 @@ class ExpansionTerm:
     value: float
 
 
-def wendel_residual(g: GFunction, a: float = 0.5, x: float = 1.0) -> float:
+def wendel_residual(g: GFunction, a: float, x: float) -> float:
     """Sigma g(x+a) - Sigma g(x) - sum_{j=1}^p C(a,j) Delta^{j-1} g(x), p = g.p.
 
     Tends to zero as x grows; the rate is the content of the Wendel-type
@@ -51,8 +51,7 @@ def binet(g: GFunction, x: float) -> float:
     return sigma(g, x).value - asymptotic_constant(g) - integral_from_1(g, x) + head
 
 
-def asym_expansion(g: GFunction, x: float = 10.0, q: int = 6,
-                   m: int = 1) -> tuple[float, list[ExpansionTerm]]:
+def asym_expansion(g: GFunction, x: float, q: int, m: int) -> tuple[float, list[ExpansionTerm]]:
     """Bernoulli expansion of Sigma g around the sigma-plus-integral core.
 
     total = sigma[g] + integral_1^x g + sum_{k=1}^q B_k/(m^k k!) g^(k-1)(x).
@@ -77,15 +76,13 @@ def asym_expansion(g: GFunction, x: float = 10.0, q: int = 6,
     return total, terms
 
 
-def expansion_remainder(g: GFunction, x: float = 10.0, q: int | None = None) -> float:
-    """Sigma g(x) minus the order-q Bernoulli expansion (q defaults to g.p).
+def expansion_remainder(g: GFunction, x: float) -> float:
+    """Sigma g(x) minus the order-p Bernoulli expansion, p = g.p.
 
     Unlike the Binet function, whose correction head uses finite
     differences, this subtracts the derivative corrections, so for the
-    x ln x family with q = 2 it decays like 1/(720 x^2); at q = p = 1 the
-    two objects coincide.
+    x ln x family (p = 2) it decays like 1/(720 x^2); at p = 1 the two
+    objects coincide.
     """
-    if q is None:
-        q = g.p
-    total, _ = asym_expansion(g, x, q, 1)
+    total, _ = asym_expansion(g, x, g.p, 1)
     return sigma(g, x).value - total

@@ -7,7 +7,9 @@ that is not finite or an arithmetic fault, 4 identity violation or a
 suite that checked nothing.  Output is CSV or JSON, floats rendered by
 repr so identical inputs (and seed) give byte-identical bytes on any
 platform.  The argparse tree is built once per process and reused by
-every run() call.
+every run() call.  Each subparser names its handler cmd_*(cfg, args, out)
+and its default format; one table, _SUITES, gives each verify suite its
+runner, the grid flags it reads and whether it needs --fn psi2g.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import asymptotics, constants, identities
 from .catalog import CATALOG_NAMES, CatalogEntry, builtin, from_expression, \
     named_constant
 from .exprlang import ExprError
-from .numerics import QuadratureError
+from .numerics import NAMED_CONSTANTS, QuadratureError
 from .shape import ShapeError, dp_degree
 from .sigma import sigma
 
@@ -39,9 +41,6 @@ EXIT_VIOLATION = 4
 
 # the most rows tabulate emits; a step too small for its range is bad input
 _MAX_ROWS = 100_000
-
-_PSI2_ONLY_SUITES = ("webster", "wallis", "reflection", "taylor",
-                     "euler-series", "inequalities")
 
 
 class CliInputError(ValueError):
@@ -144,6 +143,15 @@ def _emit_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def _emit_rows(cfg: RunConfig, command: str, header: list[str], rows: list[list],
+               **fields) -> str:
+    # CSV under header, or JSON objects keyed by the same header
+    if cfg.fmt == "csv":
+        return _emit_csv(header, rows)
+    return _emit_json({"command": command, "function": cfg.label, **fields,
+                       "rows": [dict(zip(header, r)) for r in rows]})
+
+
 def _sigma_point(g, x: float, tol: float):
     res = sigma(g, x, tol=tol)
     if not (math.isfinite(res.value) and math.isfinite(res.err_estimate)):
@@ -154,37 +162,25 @@ def _sigma_point(g, x: float, tol: float):
 # ---------------------------------------------------------------------------
 # eval
 
-def cmd_eval(cfg: RunConfig, xs: list[float], offset_mode: str, out) -> int:
+def cmd_eval(cfg: RunConfig, args, out) -> int:
+    xs = _parse_floats(args.x, "--x")
     entry = _resolve_entry(cfg)
     if any(x <= 0.0 for x in xs):
         raise CliInputError("--x values must be positive")
-    shift = entry.offset if offset_mode == "named" else 0.0
+    shift = entry.offset if args.offset == "named" else 0.0
     rows = []
-    worst_over_tol = False
     for x in xs:
         res = _sigma_point(entry.g, x, cfg.tol)
-        if res.err_estimate > cfg.tol:
-            worst_over_tol = True
         rows.append([x, res.value + shift, res.err_estimate, res.strategy])
-    if cfg.fmt == "csv":
-        out.write(_emit_csv(["x", "sigma", "err_estimate", "strategy"], rows))
-    else:
-        out.write(_emit_json({
-            "command": "eval",
-            "function": cfg.label,
-            "offset": offset_mode,
-            "rows": [
-                {"x": r[0], "sigma": r[1], "err_estimate": r[2], "strategy": r[3]}
-                for r in rows
-            ],
-        }))
-    return EXIT_CONVERGENCE if worst_over_tol else EXIT_OK
+    out.write(_emit_rows(cfg, "eval", ["x", "sigma", "err_estimate", "strategy"], rows,
+                         offset=args.offset))
+    return EXIT_CONVERGENCE if any(r[2] > cfg.tol for r in rows) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # constants
 
-def cmd_constants(cfg: RunConfig, out) -> int:
+def cmd_constants(cfg: RunConfig, args, out) -> int:
     entry = _resolve_entry(cfg)
     report = constants.constants_report(entry.g)
     payload = {
@@ -342,50 +338,43 @@ def _suite_inequalities(entry, ms, xs):
     return reports
 
 
-# suite name -> runner(entry, ms, xs), each returning (report, tol) pairs;
+# suite name -> (runner(entry, ms, xs) returning (report, tol) pairs, the grid
+# flags it reads (ms is --m, xs is --x), whether it needs --fn psi2g);
 # "all" runs them in this order
 _SUITES = {
-    "raabe": _suite_raabe,
-    "mult": _suite_mult,
-    "wendel": _suite_wendel,
-    "stirling": _suite_stirling,
-    "webster": _suite_webster,
-    "wallis": _suite_wallis,
-    "reflection": _suite_reflection,
-    "taylor": _suite_taylor,
-    "euler-series": _suite_euler_series,
-    "inequalities": _suite_inequalities,
-}
-# the grid flags each runner reads (ms is --m, xs is --x); a suite not listed reads neither
-_GRID_FLAGS = {
-    "raabe": ("--x",),
-    "mult": ("--m", "--x"),
-    "wendel": ("--x",),
-    "stirling": ("--x",),
-    "webster": ("--m", "--x"),
-    "reflection": ("--x",),
-    "taylor": ("--x",),
+    "raabe": (_suite_raabe, ("--x",), False),
+    "mult": (_suite_mult, ("--m", "--x"), False),
+    "wendel": (_suite_wendel, ("--x",), False),
+    "stirling": (_suite_stirling, ("--x",), False),
+    "webster": (_suite_webster, ("--m", "--x"), True),
+    "wallis": (_suite_wallis, (), True),
+    "reflection": (_suite_reflection, ("--x",), True),
+    "taylor": (_suite_taylor, ("--x",), True),
+    "euler-series": (_suite_euler_series, (), True),
+    "inequalities": (_suite_inequalities, (), True),
 }
 
 
-def cmd_verify(cfg: RunConfig, suite: str, ms: Optional[list[int]],
-               xs: Optional[list[float]], out) -> int:
+def cmd_verify(cfg: RunConfig, args, out) -> int:
+    ms = _parse_ints(args.m, "--m") if args.m is not None else None
+    xs = _parse_floats(args.x, "--x") if args.x is not None else None
     entry = _resolve_entry(cfg)
+    suite = args.suite
     if suite == "all":
-        wanted = [s for s in _SUITES if entry.name == "psi2g" or s not in _PSI2_ONLY_SUITES]
-    elif suite in _SUITES:
+        wanted = [s for s, (_, _, psi2_only) in _SUITES.items()
+                  if entry.name == "psi2g" or not psi2_only]
+    else:
         wanted = [suite]
+        _, flags, psi2_only = _SUITES[suite]
         # a grid the named suite would ignore is bad input, not a silent pass
         for flag, grid in (("--m", ms), ("--x", xs)):
-            if grid is not None and flag not in _GRID_FLAGS.get(suite, ()):
+            if grid is not None and flag not in flags:
                 raise CliInputError(f"suite {suite!r} does not read {flag}")
-    else:
-        raise CliInputError(f"unknown suite {suite!r}")
+        if psi2_only and entry.name != "psi2g":
+            raise CliInputError(f"suite {suite!r} requires --fn psi2g")
     collected = []
     for name in wanted:
-        if name in _PSI2_ONLY_SUITES and entry.name != "psi2g":
-            raise CliInputError(f"suite {name!r} requires --fn psi2g")
-        collected += _SUITES[name](entry, ms, xs)
+        collected += _SUITES[name][0](entry, ms, xs)
     for rep, _ in collected:
         if not all(math.isfinite(r) for r in rep.residuals):
             raise ArithmeticError(f"{rep.identity}: a residual is not finite")
@@ -431,33 +420,29 @@ def cmd_verify(cfg: RunConfig, suite: str, ms: Optional[list[int]],
 # ---------------------------------------------------------------------------
 # expand
 
-def cmd_expand(cfg: RunConfig, x: float, q: int, m: int, out) -> int:
+def cmd_expand(cfg: RunConfig, args, out) -> int:
     entry = _resolve_entry(cfg)
-    if _finite(x, "--x") <= 0.0:
+    if _finite(args.x, "--x") <= 0.0:
         raise CliInputError("--x must be positive")
-    if not 0 <= q <= 8:
+    if not 0 <= args.q <= 8:
         raise CliInputError("--q must be in 0..8")
-    if m < 1:
+    if args.m < 1:
         raise CliInputError("--m must be >= 1")
-    total, terms = asymptotics.asym_expansion(entry.g, x, q, m)
+    total, terms = asymptotics.asym_expansion(entry.g, args.x, args.q, args.m)
     main = total - math.fsum(t.value for t in terms)
+    header = ["k", "coefficient", "value"]
+    rows = [[t.k, t.coefficient, t.value] for t in terms]
     if cfg.fmt == "csv":
-        rows = [[t.k, t.coefficient, t.value] for t in terms]
-        rows.append(["main", None, main])
-        rows.append(["total", None, total])
-        out.write(_emit_csv(["k", "coefficient", "value"], rows))
+        out.write(_emit_csv(header, rows + [["main", None, main], ["total", None, total]]))
     else:
         out.write(_emit_json({
             "command": "expand",
             "function": cfg.label,
-            "x": x,
-            "q": q,
-            "m": m,
+            "x": args.x,
+            "q": args.q,
+            "m": args.m,
             "main": main,
-            "terms": [
-                {"k": t.k, "coefficient": t.coefficient, "value": t.value}
-                for t in terms
-            ],
+            "terms": [dict(zip(header, r)) for r in rows],
             "total": total,
         }))
     return EXIT_OK
@@ -466,21 +451,21 @@ def cmd_expand(cfg: RunConfig, x: float, q: int, m: int, out) -> int:
 # ---------------------------------------------------------------------------
 # tabulate
 
-def cmd_tabulate(cfg: RunConfig, start: float, stop: float, step: float, out) -> int:
+def cmd_tabulate(cfg: RunConfig, args, out) -> int:
     entry = _resolve_entry(cfg)
-    if _finite(step, "--step") <= 0.0:
+    if _finite(args.step, "--step") <= 0.0:
         raise CliInputError("--step must be positive")
-    if _finite(start, "--from") <= 0.0:
+    if _finite(args.start, "--from") <= 0.0:
         raise CliInputError("--from must be positive")
-    limit = _finite(stop, "--to") + 1e-12 * max(1.0, abs(stop))
+    limit = _finite(args.stop, "--to") + 1e-12 * max(1.0, abs(args.stop))
     xs = []
     while len(xs) <= _MAX_ROWS:
-        x = start + len(xs) * step
+        x = args.start + len(xs) * args.step
         if x > limit:
             break
         xs.append(x)
     if len(xs) > _MAX_ROWS:
-        raise CliInputError(f"--step {step!r} gives more than {_MAX_ROWS} rows")
+        raise CliInputError(f"--step {args.step!r} gives more than {_MAX_ROWS} rows")
     with_bounds = entry.name == "psi2g"
     worst_over_tol = False
     rows = []
@@ -494,51 +479,26 @@ def cmd_tabulate(cfg: RunConfig, start: float, stop: float, step: float, out) ->
         else:
             alpha = beta = None
         rows.append([x, res.value, jval, alpha, beta])
-    if cfg.fmt == "csv":
-        out.write(_emit_csv(["x", "sigma", "binet", "alpha", "beta"], rows))
-    else:
-        out.write(_emit_json({
-            "command": "tabulate",
-            "function": cfg.label,
-            "rows": [
-                {"x": r[0], "sigma": r[1], "binet": r[2], "alpha": r[3],
-                 "beta": r[4]}
-                for r in rows
-            ],
-        }))
+    out.write(_emit_rows(cfg, "tabulate", ["x", "sigma", "binet", "alpha", "beta"], rows))
     return EXIT_CONVERGENCE if worst_over_tol else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # catalog
 
-def cmd_catalog(cfg_fmt: str, out) -> int:
-    entry_rows = []
-    for name in CATALOG_NAMES:
-        e = builtin(name)
-        entry_rows.append(["entry", e.name, e.g.p, e.g.shape, e.offset,
-                           e.sigma_closed, e.gamma_closed, None])
-    for cname in ("euler_gamma", "ln_glaisher", "ln_2pi", "ln_pi", "ln_2"):
-        entry_rows.append(["constant", cname, None, None, None, None, None,
-                           named_constant(cname)])
-    if cfg_fmt == "csv":
-        out.write(_emit_csv(
-            ["kind", "name", "p", "shape", "offset", "sigma_closed",
-             "gamma_closed", "value"],
-            entry_rows,
-        ))
+def cmd_catalog(fmt: str, out) -> int:
+    fields = ["name", "p", "shape", "offset", "sigma_closed", "gamma_closed"]
+    entries = [[e.name, e.g.p, e.g.shape, e.offset, e.sigma_closed, e.gamma_closed]
+               for e in map(builtin, CATALOG_NAMES)]
+    if fmt == "csv":
+        rows = [["entry", *r, None] for r in entries]
+        rows += [["constant", name, None, None, None, None, None, value]
+                 for name, value in NAMED_CONSTANTS.items()]
+        out.write(_emit_csv(["kind", *fields, "value"], rows))
     else:
-        out.write(_emit_json({
-            "command": "catalog",
-            "entries": [
-                {"name": r[1], "p": r[2], "shape": r[3], "offset": r[4],
-                 "sigma_closed": r[5], "gamma_closed": r[6]}
-                for r in entry_rows if r[0] == "entry"
-            ],
-            "constants": {
-                r[1]: r[7] for r in entry_rows if r[0] == "constant"
-            },
-        }))
+        out.write(_emit_json({"command": "catalog",
+                              "entries": [dict(zip(fields, r)) for r in entries],
+                              "constants": NAMED_CONSTANTS}))
     return EXIT_OK
 
 
@@ -572,6 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", parents=[common],
                             help="evaluate Sigma g on a list of points")
+    p_eval.set_defaults(handler=cmd_eval, default_fmt="csv")
     p_eval.add_argument("--x", required=True,
                         help="comma-separated evaluation points")
     p_eval.add_argument("--offset", choices=["none", "named"], default="none",
@@ -579,28 +540,33 @@ def _build_parser() -> argparse.ArgumentParser:
                              "named special function")
 
     sub.add_parser("constants", parents=[common],
-                   help="compute sigma[g] and gamma[g]")
+                   help="compute sigma[g] and gamma[g]").set_defaults(
+        handler=cmd_constants, default_fmt="json")
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run identity/inequality suites")
+    p_verify.set_defaults(handler=cmd_verify, default_fmt="json")
     p_verify.add_argument("--suite", required=True, choices=list(_SUITES) + ["all"])
     for flag, what in (("--m", "multiplication orders"), ("--x", "grid override")):
-        readers = ", ".join(s for s, flags in _GRID_FLAGS.items() if flag in flags)
+        readers = ", ".join(s for s, (_, flags, _) in _SUITES.items() if flag in flags)
         p_verify.add_argument(flag, help=f"comma-separated {what} ({readers})")
 
     p_expand = sub.add_parser("expand", parents=[common],
                               help="Bernoulli asymptotic expansion terms")
+    p_expand.set_defaults(handler=cmd_expand, default_fmt="csv")
     p_expand.add_argument("--x", type=float, required=True)
     p_expand.add_argument("--q", type=int, default=6)
     p_expand.add_argument("--m", type=int, default=1)
 
     p_tab = sub.add_parser("tabulate", parents=[common],
                            help="tabulate sigma/binet (and bounds) over a range")
+    p_tab.set_defaults(handler=cmd_tabulate, default_fmt="csv")
     p_tab.add_argument("--from", dest="start", type=float, required=True)
     p_tab.add_argument("--to", dest="stop", type=float, required=True)
     p_tab.add_argument("--step", type=float, required=True)
 
     p_cat = sub.add_parser("catalog", help="list catalog entries and constants")
+    p_cat.set_defaults(default_fmt="csv")
     p_cat.add_argument("--format", choices=["csv", "json"], default=None,
                        dest="fmt")
     return parser
@@ -611,26 +577,12 @@ def run(argv=None, out=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        default_fmt = "json" if args.command in ("constants", "verify") else "csv"
-        fmt = args.fmt if args.fmt is not None else default_fmt
-        if args.command == "catalog":
+        fmt = args.fmt if args.fmt is not None else args.default_fmt
+        if args.command == "catalog":  # the one subcommand without --fn/--expr
             return cmd_catalog(fmt, out)
         cfg = RunConfig(fn=args.fn, expr=args.expr, p=args.p, shape=args.shape,
                         tol=args.tol, fmt=fmt, seed=args.seed)
-        if args.command == "eval":
-            xs = _parse_floats(args.x, "--x")
-            return cmd_eval(cfg, xs, args.offset, out)
-        if args.command == "constants":
-            return cmd_constants(cfg, out)
-        if args.command == "verify":
-            ms = _parse_ints(args.m, "--m") if args.m is not None else None
-            xs = _parse_floats(args.x, "--x") if args.x is not None else None
-            return cmd_verify(cfg, args.suite, ms, xs, out)
-        if args.command == "expand":
-            return cmd_expand(cfg, args.x, args.q, args.m, out)
-        if args.command == "tabulate":
-            return cmd_tabulate(cfg, args.start, args.stop, args.step, out)
-        raise CliInputError(f"unknown command {args.command!r}")
+        return args.handler(cfg, args, out)
     except ValueError as exc:  # CliInputError, ExprError, ShapeError, out-of-range values
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

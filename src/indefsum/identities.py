@@ -69,7 +69,7 @@ def lngamma_value(x: float) -> float:
 # ---------------------------------------------------------------------------
 # Raabe
 
-def raabe_sides(g: GFunction, x: float = 1.0) -> tuple[float, float]:
+def raabe_sides(g: GFunction, x: float) -> tuple[float, float]:
     """(integral_x^{x+1} Sigma g, sigma[g] + integral_1^x g)."""
     lhs = integrate(lambda t: sigma(g, t).value, x, x + 1.0, tol=1e-10).value
     rhs = asymptotic_constant(g) + integral_from_1(g, x)
@@ -104,7 +104,7 @@ def _scaled_entry(g: GFunction, m: int) -> GFunction:
                      p=g.p, shape=g.shape, name=f"{g.name}(x/{m})")
 
 
-def mult_sides(g: GFunction, m: int = 1, x: float = 1.0) -> tuple[float, float]:
+def mult_sides(g: GFunction, m: int, x: float) -> tuple[float, float]:
     """Both sides of the multiplication identity.
 
     lhs = sum_{j<m} Sigma g((x+j)/m)
@@ -206,8 +206,8 @@ def _lnsin_integral(x: float) -> float:
     # integral_0^x ln sin(pi t) dt with the log singularity at 0 regularized
     f = lambda t: math.log(math.sin(math.pi * t))
     if x <= 0.5:
-        return integrate_singular(f, 0.0, x, tol=1e-11, end="left").value
-    head = integrate_singular(f, 0.0, 0.5, tol=1e-11, end="left").value
+        return integrate_singular(f, 0.0, x, tol=1e-11).value
+    head = integrate_singular(f, 0.0, 0.5, tol=1e-11).value
     return head + integrate(f, 0.5, x, tol=1e-11).value
 
 
@@ -284,11 +284,6 @@ def _chain_violation(members: list[float]) -> float:
         default=0.0,
     )
     return max(0.0, worst) / scale
-
-
-def inequality_report_psi2(x: float, a: float) -> ResidualReport:
-    """The four displayed inequality chains at one (x, a): the one-point grid."""
-    return inequality_chains_psi2([x], [a])
 
 
 def inequality_chains_psi2(xs: list[float], a_grid: list[float]) -> ResidualReport:

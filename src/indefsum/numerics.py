@@ -330,26 +330,13 @@ def integrate(
     return result
 
 
-def integrate_singular(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    end: str = "left",
-) -> QuadResult:
-    """Integrate f over [a, b] with an integrable singularity at one end.
+def integrate_singular(f: Callable[[float], float], a: float, b: float,
+                       tol: float) -> QuadResult:
+    """Integrate f over [a, b] with an integrable singularity at the left end a.
 
-    Substitutes t = a + u^2 (end="left") or t = b - u^2 (end="right"),
-    which regularizes logarithmic and inverse-square-root endpoint
-    behavior, then delegates to integrate.
+    Substitutes t = a + u^2, which regularizes logarithmic and
+    inverse-square-root endpoint behavior, then delegates to integrate.
     """
     if not a < b:
         raise ValueError("integration requires a < b")
-    w = math.sqrt(b - a)
-    if end == "left":
-        res = integrate(lambda u: 2.0 * u * f(a + u * u), 0.0, w, tol)
-        return res
-    if end == "right":
-        res = integrate(lambda u: 2.0 * u * f(b - u * u), 0.0, w, tol)
-        return res
-    raise ValueError("end must be 'left' or 'right'")
+    return integrate(lambda u: 2.0 * u * f(a + u * u), 0.0, math.sqrt(b - a), tol)

@@ -17,7 +17,7 @@ from indefsum.identities import (
     alpha_beta_sup_gap,
     bounds_alpha_beta,
     euler_series_analogue,
-    inequality_report_psi2,
+    inequality_chains_psi2,
     mult_finite_sum_psi2,
     mult_sides,
     raabe_sides,
@@ -175,10 +175,8 @@ def test_c09_wendel_bracket(ln_entry):
 
 
 def test_c10_inequality_chains():
-    worst = 0.0
-    for i in range(1, 21):
-        for j in range(10):
-            worst = max(worst, inequality_report_psi2(0.25 * i, 0.25 * j).max_abs)
+    worst = inequality_chains_psi2([0.25 * i for i in range(1, 21)],
+                                   [0.25 * j for j in range(10)]).max_abs
     bound_bad = 0
     for k in list(range(1, 501)) + [100, 200, 350, 500]:
         x = 0.1 * k

@@ -2,9 +2,11 @@
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -173,10 +175,10 @@ def test_verify_mult_subgrid(schema):
 def test_verify_every_suite_reports(monkeypatch):
     entry = cli._resolve_entry(cli.RunConfig(fn="psi2g", expr=None, p=None, shape=None,
                                              tol=1e-9, fmt="json", seed=0))
-    for name, runner in cli._SUITES.items():
+    for name, (runner, _, _) in cli._SUITES.items():
         assert runner(entry, None, None), name
     # a suite that checks nothing is a failure, not a pass
-    monkeypatch.setitem(cli._SUITES, "taylor", lambda entry, ms, xs: [])
+    monkeypatch.setitem(cli._SUITES, "taylor", (lambda entry, ms, xs: [], ("--x",), True))
     code, text = run_cli("verify", "--fn", "psi2g", "--suite", "taylor")
     assert code == 4
     assert json.loads(text)["pass"] is False
@@ -203,14 +205,32 @@ def test_verify_psi2_only_suites_are_gated():
         assert run_cli("verify", *argv)[0] == 3, argv
 
 
+@pytest.mark.parametrize("flag, grid", [("--m", "2,3"), ("--x", "0.25,0.5")])
+@pytest.mark.parametrize("suite", list(cli._SUITES))
+def test_verify_follows_the_suite_table(suite, flag, grid, capsys):
+    _, flags, psi2_only = cli._SUITES[suite]
+    code, text = run_cli("verify", "--fn", "psi2g", "--suite", suite, flag, grid)
+    err = capsys.readouterr().err
+    if flag in flags:
+        assert (code, err) == (0, "")
+        points = json.loads(text)["reports"][0]["points"]
+        # --m leads an [m, x] point; x is the point itself or follows m or a
+        got = {pt[0] for pt in points} if flag == "--m" else \
+            {v for pt in points for v in ([pt] if isinstance(pt, float) else pt[1:])}
+        assert got == {float(v) for v in grid.split(",")}
+    else:
+        # a grid the named suite would ignore is bad input, not a silent pass
+        assert (code, text) == (2, "")
+        assert err == f"error: suite {suite!r} does not read {flag}\n"
+    code, text = run_cli("verify", "--fn", "ln", "--suite", suite)
+    err = capsys.readouterr().err
+    if psi2_only:
+        assert (code, text, err) == (2, "", f"error: suite {suite!r} requires --fn psi2g\n")
+    else:
+        assert code == 0
+
+
 def test_verify_grid_flag_a_named_suite_ignores_is_bad_input(capsys):
-    for suite, flag, value in (("wallis", "--x", "3"), ("euler-series", "--x", "1"),
-                               ("inequalities", "--x", "1"), ("wallis", "--m", "2"),
-                               ("raabe", "--m", "2"), ("taylor", "--m", "2")):
-        code, text = run_cli("verify", "--fn", "psi2g", "--suite", suite, flag, value)
-        err = capsys.readouterr().err
-        assert (code, text) == (2, ""), (suite, flag)
-        assert err.count("\n") == 1 and flag in err and suite in err, err
     # an empty grid is given too, not absent: it never falls back to a suite's default
     for suite, flag in (("wallis", "--x"), ("wallis", "--m"), ("raabe", "--x"),
                         ("mult", "--m")):
@@ -246,6 +266,34 @@ def test_verify_inequalities_evaluates_each_point_once(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the parser, built once per process
+
+@pytest.mark.parametrize("argv, default", [
+    (("eval", "--fn", "ln", "--x", "2"), "csv"),
+    (("constants", "--fn", "ln"), "json"),
+    (("verify", "--fn", "ln", "--suite", "raabe"), "json"),
+    (("expand", "--fn", "ln", "--x", "10"), "csv"),
+    (("tabulate", "--fn", "ln", "--from", "1", "--to", "2", "--step", "1"), "csv"),
+    (("catalog",), "csv"),
+])
+def test_each_subcommand_defaults_to_its_documented_format(argv, default):
+    code, text = run_cli(*argv)
+    assert code == 0
+    assert (code, text) == run_cli(*argv, "--format", default)
+    assert text.startswith("{") == (default == "json")
+
+
+def test_cli_battery_covers_every_subcommand_and_suite():
+    spec = importlib.util.spec_from_file_location(
+        "cli_battery", Path(__file__).resolve().parent.parent / "tools" / "cli_battery.py")
+    battery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(battery)
+    calls = battery.calls()
+    subcommands = cli._build_parser()._subparsers._group_actions[0].choices
+    for name in subcommands:
+        assert [name, "--help"] in calls, name
+        assert any(argv[:1] == [name] and "--help" not in argv for argv in calls), name
+    suites = {argv[argv.index("--suite") + 1] for argv in calls if "--suite" in argv}
+    assert set(cli._SUITES) | {"all"} <= suites
 
 def test_run_builds_the_parser_once(monkeypatch):
     run_cli("catalog")

@@ -12,7 +12,6 @@ from indefsum.identities import (
     euler_series_analogue,
     euler_series_closed,
     inequality_chains_psi2,
-    inequality_report_psi2,
     lngamma_value,
     make_report,
     mult_finite_sum_psi2,
@@ -224,15 +223,15 @@ def test_euler_series_analogue():
 @pytest.mark.parametrize("x", [0.5, 2.5, 5.0])
 @pytest.mark.parametrize("a", [0.25, 1.0, 2.25])
 def test_inequality_chains_hold(x, a):
-    report = inequality_report_psi2(x, a)
+    report = inequality_chains_psi2([x], [a])
     assert report.max_abs <= 1e-9, (x, a, report.max_abs)
     assert len(report.points) == len(report.residuals) == 4
 
 
 def test_gautschi_chain_gated_by_digamma_root():
-    tags = {pt[0]: pt[3] for pt in inequality_report_psi2(1.0, 0.25).points}
+    tags = {pt[0]: pt[3] for pt in inequality_chains_psi2([1.0], [0.25]).points}
     assert tags["gautschi"] == "not-applicable"
-    tags = {pt[0]: pt[3] for pt in inequality_report_psi2(1.0, 1.25).points}
+    tags = {pt[0]: pt[3] for pt in inequality_chains_psi2([1.0], [1.25]).points}
     assert tags["gautschi"] == "checked"
 
 
@@ -246,7 +245,7 @@ def test_inequality_grid_equals_its_points_one_at_a_time():
     points, residuals, sides = [], [], []
     for x in CLI_XS:
         for a in CLI_AS:
-            rep = inequality_report_psi2(x, a)
+            rep = inequality_chains_psi2([x], [a])
             points += rep.points
             residuals += rep.residuals
             sides += rep.sides

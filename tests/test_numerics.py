@@ -221,10 +221,10 @@ def test_integrate_additive_in_interval(b):
 
 
 def test_integrate_singular_log_sine():
+    # integral_0^(1/2) ln sin(pi t) dt = -(ln 2)/2, log singularity at t = 0
     res = integrate_singular(lambda t: math.log(math.sin(math.pi * t)), 0.0, 0.5, 1e-11)
-    res2 = integrate_singular(lambda t: math.log(math.sin(math.pi * t)), 0.5, 1.0, 1e-11,
-                              end="right")
-    assert res.value + res2.value == pytest.approx(-math.log(2.0), abs=1e-9)
+    assert res.value == pytest.approx(-0.5 * math.log(2.0), abs=1e-11)
+    assert res.err_estimate <= 1e-11
 
 
 # ---------------------------------------------------------------------------
