@@ -16,6 +16,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import neg
 from typing import Optional
 
 from .numerics import gen_binomial, integrate, integrate_singular, zeta_int, \
@@ -154,17 +156,11 @@ def webster_sides(m: int, x: float) -> tuple[float, float]:
 # Wallis
 
 def _wallis_partials(n: int, ms: tuple[int, ...]) -> list[tuple[float, float]]:
-    # the partial sums up to 2m for each m <= n in ms: fsums over prefixes of one term
-    # list, whose psi_-2(k) are the engine points psi2_value(k) of one sigma_steps run
+    # the partial sums up to 2m for each m <= n in ms: one correctly rounded, so order-free,
+    # fsum over the signed terms of one sigma_steps run: g(k), psi2_value(k) = sums[k-1] + off
     entry = builtin("psi2g")
-    g = entry.g.eval
-    sign = 1.0
-    gterms = []
-    pterms = []
-    for k, point in enumerate(sigma_steps(entry.g, 1, 2 * n), start=1):
-        gterms.append(sign * g(float(k)))
-        pterms.append(sign * (point.value + entry.offset))
-        sign = -sign
+    gs, sums = sigma_steps(entry.g, 1, 2 * n)
+    off = entry.offset
     out = []
     for m in ms:
         h1 = (m + 0.25) * math.log(m) - m * (1.0 - math.log(2.0))
@@ -174,7 +170,10 @@ def _wallis_partials(n: int, ms: tuple[int, ...]) -> list[tuple[float, float]]:
             + 0.5 * m * math.log(2.0 * math.pi)
             - math.log(m) / 12.0
         )
-        out.append((h1 + math.fsum(gterms[:2 * m]), h2 + math.fsum(pterms[:2 * m])))
+        k = 2 * m
+        psi2 = math.fsum(chain((s + off for s in sums[0:k:2]),
+                               (-(s + off) for s in sums[1:k:2])))
+        out.append((h1 + math.fsum(chain(gs[0:k:2], map(neg, gs[1:k:2]))), h2 + psi2))
     return out
 
 
@@ -191,7 +190,8 @@ def wallis_extrapolated(n: int) -> tuple[float, float]:
     pass over the terms up to 2n.  Each psi_-2(k) is a full engine point,
     equal to psi2_value(k): 2n points, each with its own Gregory head and
     none stepped from another through the difference equation; sigma_steps
-    only shares the g values and the difference table between neighbours.
+    shares the g values and the difference table between neighbours, and
+    hands out the same g values for the first sum.
     """
     if n < 4:
         raise ValueError("n must be >= 4")

@@ -134,13 +134,13 @@ def gregory_terms(f: Callable[[float], float], x: float, J: int) -> list[float]:
 
 
 def gregory_terms_run(values: Sequence[float], J: int) -> list[list[float]]:
-    """gregory_terms at every J-wide window of one unit-step run of values.
+    """gregory_terms at every J-wide window of one unit-step run, by columns.
 
-    values holds f(y), f(y+1), ..., f(y+m+J-2); entry i of the result is
-    gregory_terms(f, y+i, J), bit for bit: each difference level is built
-    once over the whole run, with the same neighbour subtractions that
-    forward_diffs makes inside one window.  Meant for runs of many
-    windows; a single head is cheaper through gregory_terms.
+    values holds f(y), ..., f(y+m+J-2); column n-1 holds G_n Delta^{n-1}
+    f(y+i) for the m windows i, bit for bit as gregory_terms(f, y+i, J)
+    gives it: each difference level is built once over the whole run, with
+    the neighbour subtractions forward_diffs makes inside one window.  For
+    runs of many windows; a single head is cheaper through gregory_terms.
     """
     coeffs = _gregory_floats(J)
     windows = max(0, len(values) - J + 1)
@@ -150,7 +150,7 @@ def gregory_terms_run(values: Sequence[float], J: int) -> list[list[float]]:
         if n:
             level = [b - a for a, b in zip(level, level[1:])]
         columns.append([c * d for d in level[:windows]])
-    return [list(t) for t in zip(*columns)]
+    return columns
 
 
 @lru_cache(maxsize=None)

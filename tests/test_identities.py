@@ -3,6 +3,8 @@ multiplication, Webster, Wallis, reflection, series expansions, and the
 inequality chains."""
 
 import math
+import sys
+import tracemalloc
 
 import pytest
 
@@ -167,6 +169,40 @@ def test_wallis_extrapolated_bit_identical_to_two_partials(n):
     assert half == _wallis_partial_reference(n // 2)
     assert full == _wallis_partial_reference(n)
     assert wallis_extrapolated(n) == (2.0 * full[0] - half[0], 2.0 * full[1] - half[1])
+
+
+def test_wallis_takes_g_from_the_sigma_steps_run(monkeypatch):
+    # one g evaluation per run point plus the difference tables' overhang and the
+    # sigma() points below 30; repeating g at the integers would cost 41,191
+    g = builtin("psi2g").g
+    wallis_extrapolated(4)  # sigma[psi2g] is cached before counting
+    evals = [0]
+    f = g.eval
+
+    def counting(x):
+        evals[0] += 1
+        return f(x)
+
+    monkeypatch.setattr(g, "eval", counting)
+    wallis_extrapolated(10_000)
+    assert evals[0] <= 21_220
+
+
+def test_wallis_peak_memory():
+    # sigma_steps' two 2n-long lists of floats (gs and sums) set the peak; a third
+    # one (say psi_-2 with its offset) would lift it past 2.5 such lists, and
+    # verify_suites' peak_rss_mb with it
+    n = 10_000
+    floats = [0.5 + k for k in range(2 * n)]
+    list_bytes = sys.getsizeof(floats) + sum(map(sys.getsizeof, floats))
+    wallis_extrapolated(4)
+    tracemalloc.start()
+    try:
+        wallis_extrapolated(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * list_bytes
 
 
 def test_wallis_extrapolated_moderate_n():

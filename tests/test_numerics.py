@@ -157,9 +157,11 @@ def test_gregory_terms_run_bit_identical_to_gregory_terms(f, J):
     for y in (1.0, 29.0, 2.75):
         for m in (1, 2, 9, 300):
             values = [f(y + i) for i in range(m + J - 1)]
-            assert gregory_terms_run(values, J) == [gregory_terms(f, y + i, J)
-                                                    for i in range(m)], (y, m)
-    assert gregory_terms_run([1.0] * (J - 1), J) == []
+            columns = gregory_terms_run(values, J)
+            assert [list(t) for t in zip(*columns)] == [gregory_terms(f, y + i, J)
+                                                        for i in range(m)], (y, m)
+            assert len(columns) == J and all(len(c) == m for c in columns), (y, m)
+    assert gregory_terms_run([1.0] * (J - 1), J) == [[] for _ in range(J)]
 
 
 def test_gregory_coefficient_is_binomial_moment():

@@ -298,8 +298,9 @@ def test_sigma_steps_equal_sigma_point_by_point(name):
         # a fresh g each time, so the run, not sigma(), fills sigma[g] and the anchors
         g = (dataclasses.replace(builtin(name).g, sigma_constant=None)
              if name in CATALOG_NAMES else expression_g(name))
-        got = list(sigma_steps(g, x, n))
-        assert got == [sigma(g, x + k) for k in range(n)], (name, x, n)
+        gs, sums = sigma_steps(g, x, n)
+        assert sums == [sigma(g, x + k).value for k in range(n)], (name, x, n)
+        assert gs == [g.eval(x + k) for k in range(n)], (name, x, n)
 
 
 def test_sigma_steps_validation(ln_entry):
@@ -312,8 +313,9 @@ def test_sigma_steps_validation(ln_entry):
             sigma_steps(g, 1, n)
     with pytest.raises(ValueError):
         sigma_steps(g, 2.0 ** 53, 1)
-    assert list(sigma_steps(g, 7, 0)) == []
-    assert list(sigma_steps(g, 7.0, 2)) == [sigma(g, 7.0), sigma(g, 8.0)]
+    assert sigma_steps(g, 7, 0) == ([], [])
+    assert sigma_steps(g, 7.0, 2) == ([g.eval(7.0), g.eval(8.0)],
+                                      [sigma(g, 7.0).value, sigma(g, 8.0).value])
 
 
 # ---------------------------------------------------------------------------
