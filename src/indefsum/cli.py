@@ -292,11 +292,11 @@ def _suite_webster(entry, ms, xs):
 
 
 def _suite_wallis(entry, ms, xs):
-    first, second = identities.wallis_extrapolated(10_000)
+    first, second = identities.wallis_extrapolated()
     lim1 = named_constant("ln_2") / 12.0 - 3.0 * named_constant("ln_glaisher")
     lim2 = named_constant("ln_glaisher") - named_constant("ln_2") / 12.0
     return [_sides_report("wallis", ["first", "second"], [(first, lim1), (second, lim2)],
-                          1e-3)]
+                          1e-9)]
 
 
 def _suite_reflection(entry, ms, xs):

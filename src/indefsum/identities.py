@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import neg
-from typing import Optional
+from typing import Optional, Sequence
 
 from .numerics import gen_binomial, integrate, integrate_singular, zeta_int, \
     zeta_int_minus_1
-from .sigma import GFunction, integral_from_1, sigma, sigma_steps
+from .sigma import GFunction, integral_from_1, sigma
 from .constants import asymptotic_constant
 from .asymptotics import binet
 from .catalog import builtin, named_constant
@@ -155,12 +155,19 @@ def webster_sides(m: int, x: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Wallis
 
-def _wallis_partials(n: int, ms: tuple[int, ...]) -> list[tuple[float, float]]:
-    # the partial sums up to 2m for each m <= n in ms: one correctly rounded, so order-free,
-    # fsum over the signed terms of one sigma_steps run: g(k), psi2_value(k) = sums[k-1] + off
-    entry = builtin("psi2g")
-    gs, sums = sigma_steps(entry.g, 1, 2 * n)
-    off = entry.offset
+# The partial at m errs by c_2/m^2 + c_4/m^4 + ... (only even powers of 1/m), so each
+# level of a Richardson table in h = 1/m^2 removes one power.  Roundoff of the m^2 ln m
+# terms overtakes the truncation near m = 256, so a taller table only loses accuracy;
+# four levels over m <= 32 take 64 engine points.
+_WALLIS_MS = (2, 4, 8, 16, 32)
+
+
+def _wallis_partials(ms: Sequence[int] = _WALLIS_MS) -> list[tuple[float, float]]:
+    # the partial sums up to 2m for each m in ms, each one correctly rounded, so
+    # order-free, fsum over its signed terms g(k) and psi2_value(k)
+    g = builtin("psi2g").g.eval
+    ks = [float(k) for k in range(1, 2 * max(ms) + 1)]
+    gs, ps = [g(k) for k in ks], [psi2_value(k) for k in ks]
     out = []
     for m in ms:
         h1 = (m + 0.25) * math.log(m) - m * (1.0 - math.log(2.0))
@@ -171,32 +178,35 @@ def _wallis_partials(n: int, ms: tuple[int, ...]) -> list[tuple[float, float]]:
             - math.log(m) / 12.0
         )
         k = 2 * m
-        psi2 = math.fsum(chain((s + off for s in sums[0:k:2]),
-                               (-(s + off) for s in sums[1:k:2])))
-        out.append((h1 + math.fsum(chain(gs[0:k:2], map(neg, gs[1:k:2]))), h2 + psi2))
+        out.append((h1 + math.fsum(chain(gs[0:k:2], map(neg, gs[1:k:2]))),
+                    h2 + math.fsum(chain(ps[0:k:2], map(neg, ps[1:k:2])))))
     return out
 
 
-def wallis_extrapolated(n: int) -> tuple[float, float]:
-    """One Richardson step over the partials at m = n/2 and m = n.
+def _richardson_by_4(column: Sequence[float]) -> float:
+    # the corner of the table over entries at h, h/4, h/16, ...: level j removes h^j
+    for j in range(1, len(column)):
+        column = [(4 ** j * b - a) / (4 ** j - 1) for a, b in zip(column, column[1:])]
+    return column[0]
+
+
+def wallis_extrapolated() -> tuple[float, float]:
+    """The two Wallis-type limits, from a Richardson table over m = 2, 4, ..., 32.
 
     The partial at m is the pair of normalized alternating sums up to 2m,
 
       first  = (m + 1/4) ln m - m(1 - ln 2) + sum_{k<=2m} (-1)^{k-1} g(k)
       second = m^2 ln(2m) - 3m^2/2 + m ln(2 pi)/2 - (ln m)/12
-               + sum_{k<=2m} (-1)^{k-1} psi_-2(k);
+               + sum_{k<=2m} (-1)^{k-1} psi_-2(k),
 
-    the step removes their O(1/m) error term.  Both partials come from one
-    pass over the terms up to 2n.  Each psi_-2(k) is a full engine point,
-    equal to psi2_value(k): 2n points, each with its own Gregory head and
-    none stepped from another through the difference equation; sigma_steps
-    shares the g values and the difference table between neighbours, and
-    hands out the same g values for the first sum.
+    and it errs by c_2/m^2 + c_4/m^4 + ... .  The table treats each
+    partial as a polynomial in h = 1/m^2 and takes four Richardson levels,
+    which remove the h, ..., h^4 terms, to its corner.  All five partials
+    come from the terms up to 64: 64 engine points psi2_value(k) and 64
+    values g(k).
     """
-    if n < 4:
-        raise ValueError("n must be >= 4")
-    half, full = _wallis_partials(n, (n // 2, n))
-    return 2.0 * full[0] - half[0], 2.0 * full[1] - half[1]
+    firsts, seconds = zip(*_wallis_partials())
+    return _richardson_by_4(firsts), _richardson_by_4(seconds)
 
 
 # ---------------------------------------------------------------------------

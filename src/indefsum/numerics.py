@@ -133,26 +133,6 @@ def gregory_terms(f: Callable[[float], float], x: float, J: int) -> list[float]:
     return [c * d for c, d in zip(coeffs, diffs)]
 
 
-def gregory_terms_run(values: Sequence[float], J: int) -> list[list[float]]:
-    """gregory_terms at every J-wide window of one unit-step run, by columns.
-
-    values holds f(y), ..., f(y+m+J-2); column n-1 holds G_n Delta^{n-1}
-    f(y+i) for the m windows i, bit for bit as gregory_terms(f, y+i, J)
-    gives it: each difference level is built once over the whole run, with
-    the neighbour subtractions forward_diffs makes inside one window.  For
-    runs of many windows; a single head is cheaper through gregory_terms.
-    """
-    coeffs = _gregory_floats(J)
-    windows = max(0, len(values) - J + 1)
-    level = list(values)
-    columns = []
-    for n, c in enumerate(coeffs):
-        if n:
-            level = [b - a for a, b in zip(level, level[1:])]
-        columns.append([c * d for d in level[:windows]])
-    return columns
-
-
 @lru_cache(maxsize=None)
 def _bernoulli_fraction(k: int) -> Fraction:
     if k == 0:

@@ -9,11 +9,9 @@ with N the smallest shift putting x + N >= 30 and J = 8: sigma() is that
 evaluator and takes neither N nor J.  Since Sigma g(1) = 0, the same form
 at x = 1 yields the asymptotic constant sigma[g] itself (gregory_constant),
 so sigma() needs no prepared input: it fills g.sigma_constant on first
-use.  sigma_steps() returns the same values along a run of consecutive
-integers, with g at those integers, as two plain lists computed from one
-difference table per block of heads.  sigma_deriv() differentiates the
-form termwise, where the constant drops out.  The Gregory terms come from
-numerics.gregory_terms (gregory_terms_run for a run).  Without an
+use; it is the one place the package evaluates Sigma g.  sigma_deriv()
+differentiates the form termwise, where the constant drops out.  The
+Gregory terms come from numerics.gregory_terms.  Without an
 antiderivative, integral_1^{x+N} g is a cached integral up to an anchor
 30 * 2^k (g.anchor_integrals) plus one short quadrature.
 
@@ -29,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .exprlang import Jet
-from .numerics import gregory_terms, gregory_terms_run, integrate
+from .numerics import gregory_terms, integrate
 
 __all__ = [
     "GFunction",
@@ -37,7 +35,6 @@ __all__ = [
     "gregory_constant",
     "sigma",
     "sigma_deriv",
-    "sigma_steps",
     "integral_from_1",
 ]
 
@@ -102,8 +99,6 @@ _QUAD_TOL = 1e-12
 # the head of sigma() sits at the first x + N >= _SHIFT_TARGET, with _ORDER Gregory terms
 _SHIFT_TARGET = 30.0
 _ORDER = 8
-# heads per difference table in sigma_steps: bounds its memory, not its values
-_STEP_BLOCK = 256
 
 
 def integral_from_1(g: GFunction, y: float) -> float:
@@ -178,39 +173,6 @@ def sigma(g: GFunction, x: float, tol: float = 1e-10) -> SigmaResult:
     shifted = [g.eval(x + k) for k in range(N)]
     head = g.sigma_constant + integral_from_1(g, x + N) - math.fsum(terms)
     return SigmaResult(head - math.fsum(shifted), abs(terms[-1]), "gregory", J + N)
-
-
-def sigma_steps(g: GFunction, x: float, n: int) -> tuple[list[float], list[float]]:
-    """(gs, sums) along a run of n consecutive integers from an integer x >= 1.
-
-    gs[k] == g.eval(x + k) and sums[k] == sigma(g, x + k).value, bit for
-    bit; a point's err_estimate is sigma()'s for that point.  On integers
-    every argument is exact, so the points from the shift target on take
-    their Gregory terms, and gs its values, from one difference table per
-    block of heads (gregory_terms_run); the few points below it are sigma()
-    calls.  x must be an integer >= 1 and n >= 0, with x + n + J <= 2^53 so
-    that every step is exact.
-    """
-    if not (isinstance(n, int) and n >= 0):
-        raise ValueError("n must be an integer >= 0")
-    if not (math.isfinite(x) and x >= 1.0 and float(x).is_integer()):
-        raise ValueError("x must be an integer >= 1")
-    if int(x) + n + _ORDER > 2 ** 53:
-        raise ValueError("x + n is too large for exact unit steps")
-    x, J, f = float(x), _ORDER, g.eval
-    below = range(min(n, max(0, int(_SHIFT_TARGET - x))))  # the shifted points x, ..., 29
-    gs = [f(x + k) for k in below]
-    sums = [sigma(g, x + k).value for k in below]
-    if len(below) < n and g.sigma_constant is None:
-        g.sigma_constant = gregory_constant(g).value
-    for first in range(len(below), n, _STEP_BLOCK):
-        y0, m, c = x + first, min(_STEP_BLOCK, n - first), g.sigma_constant
-        values = [f(y0 + i) for i in range(m + J - 1)]
-        heads = map(math.fsum, zip(*gregory_terms_run(values, J)))
-        # sigma()'s order with N = 0: (sigma[g] + integral) - head, and - fsum([]) adds nothing
-        sums += [c + integral_from_1(g, y0 + i) - h for i, h in enumerate(heads)]
-        gs += values[:m]
-    return gs, sums
 
 
 def sigma_deriv(g: GFunction, x: float, r: int) -> SigmaResult:

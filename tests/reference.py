@@ -22,9 +22,9 @@ import itertools
 import math
 from typing import Callable, Iterator, Sequence
 
-from indefsum.catalog import reference_digamma
+from indefsum.catalog import builtin, reference_digamma
 from indefsum.exprlang import Binary, Constant, Expr, Literal, Unary, Variable
-from indefsum.identities import GAUTSCHI_X0, _wallis_partials, lngamma_value, psi2_value
+from indefsum.identities import GAUTSCHI_X0, lngamma_value, psi2_value
 from indefsum.numerics import NAMED_CONSTANTS, forward_diffs, gen_binomial, \
     gregory_terms, integrate, zeta_int
 from indefsum.sigma import GFunction, SigmaResult, sigma
@@ -420,10 +420,18 @@ def wallis_partial_psi2(n: int) -> tuple[float, float]:
     first  = (n + 1/4) ln n - n(1 - ln 2) + sum_{k<=2n} (-1)^{k-1} g(k)
     second = n^2 ln(2n) - 3n^2/2 + n ln(2 pi)/2 - (ln n)/12
              + sum_{k<=2n} (-1)^{k-1} psi_-2(k)
+
+    Summed term by term: one engine point psi2_value(k) and one g(k) per k.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    return _wallis_partials(n, (n,))[0]
+    g = builtin("psi2g").g.eval
+    gsum = [(-1.0) ** (k - 1) * g(float(k)) for k in range(1, 2 * n + 1)]
+    psum = [(-1.0) ** (k - 1) * psi2_value(float(k)) for k in range(1, 2 * n + 1)]
+    h1 = (n + 0.25) * math.log(n) - n * (1.0 - math.log(2.0))
+    h2 = (n * n * math.log(2.0 * n) - 1.5 * n * n + 0.5 * n * math.log(2.0 * math.pi)
+          - math.log(n) / 12.0)
+    return h1 + math.fsum(gsum), h2 + math.fsum(psum)
 
 
 def euler_series_raw(N: int) -> float:

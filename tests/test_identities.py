@@ -3,12 +3,13 @@ multiplication, Webster, Wallis, reflection, series expansions, and the
 inequality chains."""
 
 import math
-import sys
-import tracemalloc
 
 import pytest
 
 from indefsum.identities import (
+    _WALLIS_MS,
+    _richardson_by_4,
+    _wallis_partials,
     alpha_beta_sup_gap,
     bounds_alpha_beta,
     euler_series_analogue,
@@ -151,31 +152,49 @@ def test_wallis_partials_move_toward_limits():
     assert all(b < a for a, b in zip(d2, d2[1:]))
 
 
-def _wallis_partial_reference(n):
-    # the partial sums term by term, kept as the reference for wallis_partial_psi2
-    g = builtin("psi2g").g.eval
-    gsum = [(-1.0) ** (k - 1) * g(float(k)) for k in range(1, 2 * n + 1)]
-    psum = [(-1.0) ** (k - 1) * psi2_value(float(k)) for k in range(1, 2 * n + 1)]
-    h1 = (n + 0.25) * math.log(n) - n * (1.0 - math.log(2.0))
-    h2 = (n * n * math.log(2.0 * n) - 1.5 * n * n + 0.5 * n * math.log(2.0 * math.pi)
-          - math.log(n) / 12.0)
-    return h1 + math.fsum(gsum), h2 + math.fsum(psum)
+def test_wallis_partials_err_in_powers_of_one_over_m_squared():
+    # the table's premise: the error's leading term is c/m^2, so doubling m quarters it
+    ms = [4, 8, 16, 32, 64]
+    partials = [wallis_partial_psi2(m) for m in ms]
+    for i, limit in enumerate((WALLIS_LIMIT_1, WALLIS_LIMIT_2)):
+        errs = [p[i] - limit for p in partials]
+        ratios = [a / b for a, b in zip(errs, errs[1:])]
+        assert all(3.9 <= r <= 4.1 for r in ratios), (i, ratios)
+
+
+def test_richardson_by_4_removes_four_powers_of_h():
+    c = 0.5772156649015329
+    for a, b, d, e in ((1.3, -2.1, 5.0, -7.7), (100.0, -50.0, 30.0, 20.0)):
+        column = [c + a * h + b * h ** 2 + d * h ** 3 + e * h ** 4
+                  for h in (1.0 / (m * m) for m in _WALLIS_MS)]
+        assert abs(_richardson_by_4(column) - c) <= 1e-13, (a, b, d, e)
+
+
+def test_wallis_engine_partials_equal_the_reference():
+    assert _wallis_partials() == [wallis_partial_psi2(m) for m in _WALLIS_MS]
 
 
 @pytest.mark.parametrize("n", [4, 5, 41, 200, 10_000])
 def test_wallis_extrapolated_bit_identical_to_two_partials(n):
-    half = wallis_partial_psi2(n // 2)
-    full = wallis_partial_psi2(n)
-    assert half == _wallis_partial_reference(n // 2)
-    assert full == _wallis_partial_reference(n)
-    assert wallis_extrapolated(n) == (2.0 * full[0] - half[0], 2.0 * full[1] - half[1])
+    # any two rows m = n/2, n: the engine's partials equal the term-by-term reference,
+    # and one table level over them is (4 full - half)/3 to the bit
+    half, full = _wallis_partials((n // 2, n))
+    assert half == wallis_partial_psi2(n // 2)
+    assert full == wallis_partial_psi2(n)
+    for i in (0, 1):
+        assert _richardson_by_4([half[i], full[i]]) == (4.0 * full[i] - half[i]) / 3.0
 
 
-def test_wallis_takes_g_from_the_sigma_steps_run(monkeypatch):
-    # one g evaluation per run point plus the difference tables' overhang and the
-    # sigma() points below 30; repeating g at the integers would cost 41,191
+def test_wallis_extrapolated_meets_the_limits():
+    h1, h2 = wallis_extrapolated()
+    assert abs(h1 - WALLIS_LIMIT_1) <= 1e-9
+    assert abs(h2 - WALLIS_LIMIT_2) <= 1e-9
+
+
+def test_wallis_g_evals(monkeypatch):
+    # 64 sigma() points (435 shift and 512 head evaluations) and the 64 values g(k)
     g = builtin("psi2g").g
-    wallis_extrapolated(4)  # sigma[psi2g] is cached before counting
+    wallis_extrapolated()  # sigma[psi2g] is cached before counting
     evals = [0]
     f = g.eval
 
@@ -184,31 +203,8 @@ def test_wallis_takes_g_from_the_sigma_steps_run(monkeypatch):
         return f(x)
 
     monkeypatch.setattr(g, "eval", counting)
-    wallis_extrapolated(10_000)
-    assert evals[0] <= 21_220
-
-
-def test_wallis_peak_memory():
-    # sigma_steps' two 2n-long lists of floats (gs and sums) set the peak; a third
-    # one (say psi_-2 with its offset) would lift it past 2.5 such lists, and
-    # verify_suites' peak_rss_mb with it
-    n = 10_000
-    floats = [0.5 + k for k in range(2 * n)]
-    list_bytes = sys.getsizeof(floats) + sum(map(sys.getsizeof, floats))
-    wallis_extrapolated(4)
-    tracemalloc.start()
-    try:
-        wallis_extrapolated(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * list_bytes
-
-
-def test_wallis_extrapolated_moderate_n():
-    h1, h2 = wallis_extrapolated(2000)
-    assert h1 == pytest.approx(WALLIS_LIMIT_1, abs=1e-6)
-    assert h2 == pytest.approx(WALLIS_LIMIT_2, abs=1e-5)
+    wallis_extrapolated()
+    assert evals[0] <= 1_011
 
 
 # ---------------------------------------------------------------------------

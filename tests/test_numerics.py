@@ -18,7 +18,6 @@ from indefsum.numerics import (
     gregory_coeff,
     gregory_coeff_fraction,
     gregory_terms,
-    gregory_terms_run,
     integrate,
     integrate_singular,
     zeta_int,
@@ -147,21 +146,6 @@ def test_gregory_terms_order_range():
     assert gregory_terms(math.log, 2.0, 0) == []
     with pytest.raises(ValueError):
         gregory_terms(math.log, 2.0, 31)
-
-
-@pytest.mark.parametrize("f", [math.log, lambda t: 1.0 / t, lambda t: t * math.log(t) - t],
-                         ids=["ln", "recip", "xlnx"])
-@pytest.mark.parametrize("J", [1, 2, 8, 12])
-def test_gregory_terms_run_bit_identical_to_gregory_terms(f, J):
-    # every window of one run, at an integer and a fractional start
-    for y in (1.0, 29.0, 2.75):
-        for m in (1, 2, 9, 300):
-            values = [f(y + i) for i in range(m + J - 1)]
-            columns = gregory_terms_run(values, J)
-            assert [list(t) for t in zip(*columns)] == [gregory_terms(f, y + i, J)
-                                                        for i in range(m)], (y, m)
-            assert len(columns) == J and all(len(c) == m for c in columns), (y, m)
-    assert gregory_terms_run([1.0] * (J - 1), J) == [[] for _ in range(J)]
 
 
 def test_gregory_coefficient_is_binomial_moment():

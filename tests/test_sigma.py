@@ -21,7 +21,6 @@ from indefsum.sigma import (
     integral_from_1,
     sigma,
     sigma_deriv,
-    sigma_steps,
 )
 
 from _frozen import (
@@ -279,46 +278,6 @@ def test_difference_equation_within_err_estimate(name, logx):
 
 
 # ---------------------------------------------------------------------------
-# runs over consecutive integers
-
-def _step_cases(seed):
-    # (x, n) pairs that cross the shift target 30 and the block edges, plus seeded draws
-    B = sigma_module._STEP_BLOCK
-    cases = [(1, 0), (1, 29), (1, 30), (1, 29 + B), (1, 30 + B), (2, 2 * B + 31),
-             (29, 1), (29, 2), (30, B), (30, B + 1), (31, 2 * B + 1), (100, B - 1),
-             (4999, B + 3)]
-    rng = random.Random(seed)
-    cases += [(rng.randint(1, 5000), rng.randint(0, 2 * B + 50)) for _ in range(3)]
-    return cases
-
-
-@pytest.mark.parametrize("name", CATALOG_NAMES + tuple(EXPRESSIONS))
-def test_sigma_steps_equal_sigma_point_by_point(name):
-    for x, n in _step_cases(name):
-        # a fresh g each time, so the run, not sigma(), fills sigma[g] and the anchors
-        g = (dataclasses.replace(builtin(name).g, sigma_constant=None)
-             if name in CATALOG_NAMES else expression_g(name))
-        gs, sums = sigma_steps(g, x, n)
-        assert sums == [sigma(g, x + k).value for k in range(n)], (name, x, n)
-        assert gs == [g.eval(x + k) for k in range(n)], (name, x, n)
-
-
-def test_sigma_steps_validation(ln_entry):
-    g = ln_entry.g
-    for x in (0, -3, 0.5, 2.5, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            sigma_steps(g, x, 3)
-    for n in (-1, 2.0):
-        with pytest.raises(ValueError):
-            sigma_steps(g, 1, n)
-    with pytest.raises(ValueError):
-        sigma_steps(g, 2.0 ** 53, 1)
-    assert sigma_steps(g, 7, 0) == ([], [])
-    assert sigma_steps(g, 7.0, 2) == ([g.eval(7.0), g.eval(8.0)],
-                                      [sigma(g, 7.0).value, sigma(g, 8.0).value])
-
-
-# ---------------------------------------------------------------------------
 # one owner per evaluation parameter
 
 def test_sigma_signature_is_fixed():
@@ -375,7 +334,7 @@ def test_sigma_all_lists_the_public_names():
     }
     assert sorted(sigma_module.__all__) == sorted(public) == [
         "GFunction", "SigmaResult", "gregory_constant", "integral_from_1", "sigma",
-        "sigma_deriv", "sigma_steps"]
+        "sigma_deriv"]
 
 
 # ---------------------------------------------------------------------------
