@@ -6,10 +6,14 @@ inf included), 3 convergence failure (rows are still emitted), a result
 that is not finite or an arithmetic fault, 4 identity violation or a
 suite that checked nothing.  Output is CSV or JSON, floats rendered by
 repr so identical inputs (and seed) give byte-identical bytes on any
-platform.  The argparse tree is built once per process and reused by
-every run() call.  Each subparser names its handler cmd_*(cfg, args, out)
-and its default format; one table, _SUITES, gives each verify suite its
-runner, the grid flags it reads and whether it needs --fn psi2g.
+platform.  JSON comes from the module's own emitter (_emit_json), whose
+bytes and errors are those of json.dumps(indent=2, allow_nan=False); it
+writes each list of scalars with one join, where json.dumps with an
+indent runs the pure-Python encoder.  The argparse tree is built once per
+process and reused by every run() call.  Each subparser names its handler
+cmd_*(cfg, args, out) and its default format; one table, _SUITES, gives
+each verify suite its runner, the grid flags it reads and whether it
+needs --fn psi2g.
 """
 
 from __future__ import annotations
@@ -139,8 +143,52 @@ def _emit_csv(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+_JSON_STR = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(v) -> str:
+    # a scalar as json.dumps writes it: same text, same errors; a container is a
+    # TypeError here, which _json_value catches
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+    if isinstance(v, str):
+        return _JSON_STR(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _json_value(v, indent: str) -> str:
+    # indent is the newline and indentation of the line v starts on; str keys only
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = indent + "  "
+        items = [_JSON_STR(k) + ": " + _json_value(x, inner) for k, x in v.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = indent + "  "
+        try:  # all scalars, the common case: one join of their texts
+            items = list(map(_json_scalar, v))
+        except TypeError:  # a container (or no JSON type): item by item, in order
+            items = [_json_value(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return _json_scalar(v)
+
+
 def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    # the bytes of json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    return _json_value(payload, "\n") + "\n"
 
 
 def _emit_rows(cfg: RunConfig, command: str, header: list[str], rows: list[list],
@@ -220,7 +268,7 @@ def _suite_mult(entry, ms, xs):
     ms = ms or [1, 2, 3, 5]
     xs = xs or [0.3, 1.0, 2.7, 8.0]
     points = [[m, x] for m in ms for x in xs]
-    sides = [identities.mult_sides(entry.g, m, x) for m, x in points]
+    sides = [s for m in ms for s in identities.mult_sides(entry.g, m, xs)]
     reports = [_sides_report("mult", points, sides, 1e-7)]
     finite = [m for m in ms if m >= 2]
     if entry.name == "psi2g" and finite:
@@ -375,9 +423,13 @@ def cmd_verify(cfg: RunConfig, args, out) -> int:
     collected = []
     for name in wanted:
         collected += _SUITES[name][0](entry, ms, xs)
+    # max(0.0, nan) is 0.0, so a NaN side can hide behind a finite residual
     for rep, _ in collected:
         if not all(math.isfinite(r) for r in rep.residuals):
             raise ArithmeticError(f"{rep.identity}: a residual is not finite")
+        if rep.sides is not None and not all(math.isfinite(v) for side in rep.sides
+                                             for v in side):
+            raise ArithmeticError(f"{rep.identity}: a side is not finite")
     # a suite that checked nothing is not a pass
     all_pass = bool(collected) and all(rep.max_abs <= tol for rep, tol in collected)
     if cfg.fmt == "json":

@@ -106,20 +106,24 @@ def _scaled_entry(g: GFunction, m: int) -> GFunction:
                      p=g.p, shape=g.shape, name=f"{g.name}(x/{m})")
 
 
-def mult_sides(g: GFunction, m: int, x: float) -> tuple[float, float]:
-    """Both sides of the multiplication identity.
+def mult_sides(g: GFunction, m: int, xs: Sequence[float]) -> list[tuple[float, float]]:
+    """Both sides of the multiplication identity at each x of xs.
 
     lhs = sum_{j<m} Sigma g((x+j)/m)
     rhs = Sigma g_m(x) + m sigma[g] - sigma[g_m] - integral_1^m g_m
+
+    g_m, sigma[g_m] and integral_1^m g_m depend on m alone and are
+    computed once per call.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     sig_g = asymptotic_constant(g)
-    lhs = math.fsum(sigma(g, (x + j) / m).value for j in range(m))
     gm = _scaled_entry(g, m)
     sig_gm = asymptotic_constant(gm)
-    rhs = sigma(gm, x).value + m * sig_g - sig_gm - integral_from_1(gm, float(m))
-    return lhs, rhs
+    int_gm = integral_from_1(gm, float(m))
+    return [(math.fsum(sigma(g, (x + j) / m).value for j in range(m)),
+             sigma(gm, x).value + m * sig_g - sig_gm - int_gm)
+            for x in xs]
 
 
 def mult_finite_sum_psi2(m: int) -> tuple[float, float]:
@@ -301,10 +305,11 @@ def inequality_chains_psi2(xs: list[float], a_grid: list[float]) -> ResidualRepo
 
     Residuals are normalized ordering violations (0 when the chain
     holds).  The Gautschi chain is reported as not-applicable when
-    x + floor(a) < x_0.  A table local to the call evaluates each
-    distinct psi_-2 and ln Gamma point once, and the Stirling-based
-    chain, which depends on x alone, once per x; each sides entry is a
-    list of its own.
+    x + floor(a) < x_0.  The terms that depend on a alone are computed
+    once per a, those that depend on x alone (g, its differences, psi_-2
+    and the Stirling-based chain) once per x, and a table local to the
+    call evaluates each distinct psi_-2 and ln Gamma point once; each
+    sides entry is a list of its own.
     """
     if any(x <= 0.0 for x in xs) or any(a < 0.0 for a in a_grid):
         raise ValueError("require x > 0 and a >= 0")
@@ -315,36 +320,35 @@ def inequality_chains_psi2(xs: list[float], a_grid: list[float]) -> ResidualRepo
     psi2 = functools.cache(psi2_value)
     lngamma = functools.cache(lngamma_value)
 
-    @functools.cache
-    def stirling(x):
-        # Stirling-based: 0 <= -J^3[Sigma g](x)
-        #                   <= integral_0^1 C(t-1,2)(dg(x+t) - dg(x)) dt
-        #                   <= (5/12) d2g(x)
-        s1 = -binet(entry.g, x)
-        dgx = dg(x)
-        s2 = integrate(
-            lambda t: 0.5 * (t - 1.0) * (t - 2.0) * (dg(x + t) - dgx),
-            0.0, 1.0, tol=1e-11,
-        ).value
-        s3 = (5.0 / 12.0) * d2g(x)
-        chain = (0.0, s1, s2, s3)
-        return chain, _chain_violation(chain)
+    per_a = []
+    for a in a_grid:
+        s = a * (a - 1.0) * (a - 2.0)
+        fa = math.floor(a)
+        fr = a - fa
+        per_a.append((a, 0.0 if s == 0.0 else math.copysign(1.0, s), gen_binomial(a, 2),
+                      abs(gen_binomial(a - 1.0, 2)), fa, math.ceil(a), fr,
+                      gen_binomial(fr, 2)))
 
     points = []
     residuals = []
     sides = []
-    for x in xs:
-        for a in a_grid:
+    for x in xs if per_a else ():  # an empty a-grid evaluates nothing
+        gx, dgx, d2gx, psi2x = g(x), dg(x), d2g(x), psi2(x)
+        # Stirling-based: 0 <= -J^3[Sigma g](x)
+        #                   <= integral_0^1 C(t-1,2)(dg(x+t) - dg(x)) dt
+        #                   <= (5/12) d2g(x)
+        stirling = (0.0, -binet(entry.g, x),
+                    integrate(lambda t: 0.5 * (t - 1.0) * (t - 2.0) * (dg(x + t) - dgx),
+                              0.0, 1.0, tol=1e-11).value,
+                    (5.0 / 12.0) * d2gx)
+        stirling_violation = _chain_violation(stirling)
+        for a, sgn, c_a2, c_a12, fa, ca, fr, c_fr2 in per_a:
             # Wendel: 0 <= sign(a(a-1)(a-2)) (psi(x+a) - psi(x) - a g(x) - C(a,2) dg(x))
             #           <= |C(a-1,2)| (dg(x+a) - dg(x)) <= ceil(a) |C(a-1,2)| d2g(x)
-            s = a * (a - 1.0) * (a - 2.0)
-            sgn = 0.0 if s == 0.0 else math.copysign(1.0, s)
-            at_xa = psi2(x + a)  # shared by the Wendel and Gautschi chains
-            w1 = sgn * (at_xa - psi2(x) - a * g(x)
-                        - gen_binomial(a, 2) * dg(x))
-            w2 = abs(gen_binomial(a - 1.0, 2)) * (dg(x + a) - dg(x))
-            w3 = math.ceil(a) * abs(gen_binomial(a - 1.0, 2)) * d2g(x)
-            chain = [0.0, w1, w2, w3]
+            xa = x + a
+            at_xa = psi2(xa)  # shared by the Wendel and Gautschi chains
+            chain = [0.0, sgn * (at_xa - psi2x - a * gx - c_a2 * dgx),
+                     c_a12 * (dg(xa) - dgx), ca * c_a12 * d2gx]
             points.append(("wendel", x, a, "checked"))
             residuals.append(_chain_violation(chain))
             sides.append(chain)
@@ -352,13 +356,10 @@ def inequality_chains_psi2(xs: list[float], a_grid: list[float]) -> ResidualRepo
             # Webster: 0 <= psi(x+a+1) - psi(x+floor(a)+1) - {a} g(x+floor(a)+1)
             #               - C({a},2) dg(x+floor(a)+1)
             #            <= ({a}/2)(g(x+a) - g(x+floor(a)+1) - ({a}-1) dg(x+floor(a)+1))
-            fa = math.floor(a)
-            fr = a - fa
             base = x + fa + 1.0
-            b1 = (psi2(x + a + 1.0) - psi2(base) - fr * g(base)
-                  - gen_binomial(fr, 2) * dg(base))
-            b2 = 0.5 * fr * (g(x + a) - g(base) - (fr - 1.0) * dg(base))
-            chain = [0.0, b1, b2]
+            g_base, dg_base = g(base), dg(base)
+            chain = [0.0, psi2(xa + 1.0) - psi2(base) - fr * g_base - c_fr2 * dg_base,
+                     0.5 * fr * (g(xa) - g_base - (fr - 1.0) * dg_base)]
             points.append(("webster", x, a, "checked"))
             residuals.append(_chain_violation(chain))
             sides.append(chain)
@@ -366,11 +367,8 @@ def inequality_chains_psi2(xs: list[float], a_grid: list[float]) -> ResidualRepo
             # Gautschi: (a - ceil(a)) ln Gamma(x + ceil(a)) <= psi(x+a) - psi(x+ceil(a))
             #             <= (a - ceil(a)) g(x + floor(a)),  when x + floor(a) >= x_0
             if x + fa >= GAUTSCHI_X0:
-                ca = math.ceil(a)
-                lo = (a - ca) * lngamma(x + ca)
-                mid = at_xa - psi2(x + ca)
-                hi = (a - ca) * g(x + fa)
-                chain = [lo, mid, hi]
+                chain = [(a - ca) * lngamma(x + ca), at_xa - psi2(x + ca),
+                         (a - ca) * g(x + fa)]
                 points.append(("gautschi", x, a, "checked"))
                 residuals.append(_chain_violation(chain))
                 sides.append(chain)
@@ -379,10 +377,9 @@ def inequality_chains_psi2(xs: list[float], a_grid: list[float]) -> ResidualRepo
                 residuals.append(0.0)
                 sides.append([])
 
-            chain, violation = stirling(x)
             points.append(("stirling", x, a, "checked"))
-            residuals.append(violation)
-            sides.append(list(chain))
+            residuals.append(stirling_violation)
+            sides.append(list(stirling))
 
     return make_report("inequalities-psi2", points, residuals, sides)
 

@@ -18,16 +18,20 @@ __init__.py, so pytest puts the directory on sys.path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Iterator, Sequence
 
 from indefsum.catalog import builtin, reference_digamma
 from indefsum.exprlang import Binary, Constant, Expr, Literal, Unary, Variable
-from indefsum.identities import GAUTSCHI_X0, lngamma_value, psi2_value
+from indefsum.asymptotics import binet
+from indefsum.constants import asymptotic_constant
+from indefsum.identities import GAUTSCHI_X0, ResidualReport, _chain_violation, \
+    _scaled_entry, lngamma_value, make_report, psi2_value
 from indefsum.numerics import NAMED_CONSTANTS, forward_diffs, gen_binomial, \
     gregory_terms, integrate, zeta_int
-from indefsum.sigma import GFunction, SigmaResult, sigma
+from indefsum.sigma import GFunction, SigmaResult, integral_from_1, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +406,60 @@ def liu_formula_psi2(x: float, n_intervals: int = 2048) -> float:
     )
     tail, _ = b2_kernel_tail(x, n_intervals)
     return main + 0.5 * tail
+
+
+# ---------------------------------------------------------------------------
+# identities: each grid evaluator's terms computed afresh at every point, the
+# references the engine's grids (which share the terms that depend on m, on x
+# or on a alone) must equal bit for bit
+
+def mult_sides_per_point(g: GFunction, m: int, x: float) -> tuple[float, float]:
+    """Both sides of the multiplication identity at one x, with a fresh g_m."""
+    sig_g = asymptotic_constant(g)
+    lhs = math.fsum(sigma(g, (x + j) / m).value for j in range(m))
+    gm = _scaled_entry(g, m)
+    sig_gm = asymptotic_constant(gm)
+    rhs = sigma(gm, x).value + m * sig_g - sig_gm - integral_from_1(gm, float(m))
+    return lhs, rhs
+
+
+def inequality_chains_psi2_per_point(xs: list[float], a_grid: list[float]) -> ResidualReport:
+    """The four inequality chains on every (x, a), x-major, each term at each point."""
+    entry = builtin("psi2g")
+    g = entry.g.eval
+    dg = lambda y: g(y + 1.0) - g(y)
+    d2g = lambda y: g(y + 2.0) - 2.0 * g(y + 1.0) + g(y)
+    psi2 = functools.cache(psi2_value)
+    lngamma = functools.cache(lngamma_value)
+    points, residuals, sides = [], [], []
+    for x in xs:
+        for a in a_grid:
+            s = a * (a - 1.0) * (a - 2.0)
+            sgn = 0.0 if s == 0.0 else math.copysign(1.0, s)
+            w1 = sgn * (psi2(x + a) - psi2(x) - a * g(x) - gen_binomial(a, 2) * dg(x))
+            w2 = abs(gen_binomial(a - 1.0, 2)) * (dg(x + a) - dg(x))
+            w3 = math.ceil(a) * abs(gen_binomial(a - 1.0, 2)) * d2g(x)
+            fa = math.floor(a)
+            fr = a - fa
+            base = x + fa + 1.0
+            b1 = (psi2(x + a + 1.0) - psi2(base) - fr * g(base)
+                  - gen_binomial(fr, 2) * dg(base))
+            b2 = 0.5 * fr * (g(x + a) - g(base) - (fr - 1.0) * dg(base))
+            gautschi = None  # not applicable below the digamma root
+            if x + fa >= GAUTSCHI_X0:
+                ca = math.ceil(a)
+                gautschi = [(a - ca) * lngamma(x + ca), psi2(x + a) - psi2(x + ca),
+                            (a - ca) * g(x + fa)]
+            s2 = integrate(lambda t: 0.5 * (t - 1.0) * (t - 2.0) * (dg(x + t) - dg(x)),
+                           0.0, 1.0, tol=1e-11).value
+            stirling = [0.0, -binet(entry.g, x), s2, (5.0 / 12.0) * d2g(x)]
+            for name, chain in (("wendel", [0.0, w1, w2, w3]), ("webster", [0.0, b1, b2]),
+                                ("gautschi", gautschi), ("stirling", stirling)):
+                points.append((name, x, a, "checked" if chain is not None else
+                               "not-applicable"))
+                residuals.append(_chain_violation(chain) if chain is not None else 0.0)
+                sides.append(chain if chain is not None else [])
+    return make_report("inequalities-psi2", points, residuals, sides)
 
 
 # ---------------------------------------------------------------------------

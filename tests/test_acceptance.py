@@ -131,8 +131,7 @@ def test_c07_multiplication(ln_entry, psi2_entry):
     worst = 0.0
     for entry in (ln_entry, psi2_entry):
         for m in (1, 2, 3, 5):
-            for x in (0.3, 1.0, 2.7, 8.0):
-                lhs, rhs = mult_sides(entry.g, m, x)
+            for lhs, rhs in mult_sides(entry.g, m, [0.3, 1.0, 2.7, 8.0]):
                 worst = max(worst, abs(lhs - rhs))
     lhs, rhs = mult_finite_sum_psi2(2)
     finite = abs(lhs - rhs)

@@ -5,11 +5,14 @@ import csv
 import importlib.util
 import io
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indefsum import cli
 
@@ -205,6 +208,16 @@ def test_verify_psi2_only_suites_are_gated():
         assert run_cli("verify", *argv)[0] == 3, argv
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_non_finite_side_is_a_convergence_failure(fmt, capsys):
+    # each residual max(0, |rem| - bound) of a NaN remainder reads 0.0, a pass
+    code, text = run_cli("verify", "--fn", "psi2g", "--suite", "stirling",
+                         "--x=1e200,1e201,1e202", "--format", fmt)
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == \
+        "error: convergence failure: stirling-bound: a side is not finite\n"
+
+
 @pytest.mark.parametrize("flag, grid", [("--m", "2,3"), ("--x", "0.25,0.5")])
 @pytest.mark.parametrize("suite", list(cli._SUITES))
 def test_verify_follows_the_suite_table(suite, flag, grid, capsys):
@@ -262,6 +275,56 @@ def test_verify_inequalities_evaluates_each_point_once(monkeypatch):
     assert code == 0
     assert len(calls) <= 134
     assert len(set(calls)) == 104
+
+
+# ---------------------------------------------------------------------------
+# the JSON emitter: json.dumps(indent=2, allow_nan=False) byte for byte
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers() | st.sampled_from([-7, -(2 ** 70), 2 ** 64, 2 ** 64 + 1]),
+    st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 1e308, 0.1]),
+    st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "ψ₋₂ é \u2028 \U0001d11e"]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=6) | st.lists(inner, max_size=6).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=6)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_emit_json_equals_json_dumps(value):
+    try:
+        want = json.dumps(value, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or +-inf somewhere: the same error, same message
+        with pytest.raises(ValueError) as got:
+            cli._emit_json(value)
+        assert str(got.value) == str(exc)
+    else:
+        assert cli._emit_json(value) == want
+
+
+@pytest.mark.parametrize("value", [
+    math.nan,
+    [0.5, 1.5, math.inf],
+    {"a": [1, "s", [2.0, -math.inf]]},
+    ("x", {"k": (math.nan,)}),
+    [[1.0], -math.inf, [math.inf]],
+    [[math.inf], math.nan],
+    [math.nan, [math.inf]],
+])
+def test_emit_json_rejects_non_finite_floats_as_json_does(value):
+    # json names the first non-finite float in document order, with its repr
+    with pytest.raises(ValueError) as want:
+        json.dumps(value, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        cli._emit_json(value)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("Out of range float values are not JSON compliant: ")
 
 
 # ---------------------------------------------------------------------------

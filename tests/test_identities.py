@@ -27,7 +27,7 @@ from indefsum.identities import (
     webster_sides,
 )
 from indefsum.asymptotics import binet
-from indefsum.catalog import builtin, reference_lgamma, reference_psi2
+from indefsum.catalog import builtin, from_expression, reference_lgamma, reference_psi2
 from indefsum.sigma import integral_from_1
 
 from _frozen import (
@@ -41,7 +41,8 @@ from _frozen import (
     ZETA_2,
 )
 from reference import characterization_limit_psi2, euler_series_raw, gautschi_root_check, \
-    mult_scaling_limit_psi2, wallis_partial_psi2
+    inequality_chains_psi2_per_point, mult_scaling_limit_psi2, mult_sides_per_point, \
+    wallis_partial_psi2
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +102,36 @@ def test_raabe_closed_form_psi2(psi2_entry, x):
 @pytest.mark.parametrize("x", [1.0, 2.7])
 def test_mult_residual_all_entries(all_entries, m, x):
     for entry in all_entries:
-        lhs, rhs = mult_sides(entry.g, m, x)
+        [(lhs, rhs)] = mult_sides(entry.g, m, [x])
         assert abs(lhs - rhs) <= 1e-7, entry.name
 
 
 def test_mult_residual_degenerate_copy_count(psi2_entry):
-    lhs, rhs = mult_sides(psi2_entry.g, 1, 3.3)
+    [(lhs, rhs)] = mult_sides(psi2_entry.g, 1, [3.3])
     assert abs(lhs - rhs) <= 1e-10
+
+
+def test_mult_sides_equal_the_per_point_form(all_entries):
+    # g_m, sigma[g_m] and integral_1^m g_m once per m; every float as at a lone point
+    gs = [e.g for e in all_entries] + [from_expression("1/x + ln(x)", p=1, shape="concave").g]
+    xs = [0.3, 1.0, 2.7, 8.0]
+    for g in gs:
+        for m in (1, 2, 3, 5):
+            assert mult_sides(g, m, xs) == [mult_sides_per_point(g, m, x) for x in xs], \
+                (g.name, m)
+    assert mult_sides(gs[0], 2, []) == []
+    with pytest.raises(ValueError):
+        mult_sides(gs[0], 0, xs)
+
+
+def test_mult_sides_compute_one_scaled_constant_per_m(monkeypatch, psi2_entry):
+    from indefsum import identities
+    real = identities.asymptotic_constant
+    seen = []
+    monkeypatch.setattr(identities, "asymptotic_constant",
+                        lambda g: seen.append(g.name) or real(g))
+    mult_sides(psi2_entry.g, 3, [0.3, 1.0, 2.7, 8.0])
+    assert len(seen) == 2 and seen[0] == psi2_entry.g.name
 
 
 def test_mult_finite_sum_psi2():
@@ -285,6 +309,17 @@ def test_inequality_grid_equals_its_points_one_at_a_time():
     assert grid.max_abs == max(abs(r) for r in residuals)
 
 
+def test_inequality_grid_equals_the_per_point_form():
+    # the per-x and per-a terms are computed once; every float as at a lone point
+    xs = [0.25, 0.5, 1.25, 1.5, 2.5, 7.75]
+    a_grid = [0.0, 0.25, 0.5, 1.0, 1.75, 2.0, 2.25, 2.6]
+    grid = inequality_chains_psi2(xs, a_grid)
+    want = inequality_chains_psi2_per_point(xs, a_grid)
+    assert (grid.points, grid.residuals, grid.sides, grid.max_abs) == \
+        (want.points, want.residuals, want.sides, want.max_abs)
+    assert {pt[3] for pt in grid.points if pt[0] == "gautschi"} == {"checked", "not-applicable"}
+
+
 def test_inequality_grid_sides_never_alias():
     grid = inequality_chains_psi2([0.5, 2.5], CLI_AS)
     assert len({id(s) for s in grid.sides}) == len(grid.sides)
@@ -300,12 +335,15 @@ def test_inequality_grid_sides_never_alias():
         assert all(len(c) == 4 for c in chains[1:])
 
 
-def test_inequality_grid_validation():
+def test_inequality_grid_validation(monkeypatch):
     for xs, a_grid in (([0.0], [0.5]), ([1.0, -1.0], [0.5]), ([1.0], [0.5, -0.25])):
         with pytest.raises(ValueError):
             inequality_chains_psi2(xs, a_grid)
-    empty = inequality_chains_psi2([], CLI_AS)
-    assert (empty.points, empty.residuals, empty.max_abs) == ([], [], 0.0)
+    g = builtin("psi2g").g
+    monkeypatch.setattr(g, "eval", lambda x: pytest.fail("an empty grid evaluates g"))
+    for xs, a_grid in (([], CLI_AS), (CLI_XS, [])):
+        empty = inequality_chains_psi2(xs, a_grid)
+        assert (empty.points, empty.residuals, empty.max_abs) == ([], [], 0.0)
 
 
 def test_alpha_beta_bounds_bracket_reference():

@@ -49,7 +49,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACED_KEYS = ("sigma.points", "g.evals", "identities.suite_s.wallis",
+TRACED_KEYS = ("sigma.points", "g.evals", "constants.cold_calls", "constants.cold_g_evals",
+               "identities.suite_s.wallis", "identities.suite_s.mult",
                "identities.suite_s.inequalities", "sigma.self_frac", "identities.self_frac")
 
 

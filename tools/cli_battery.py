@@ -135,7 +135,12 @@ def calls() -> list[list[str]]:
             ["tabulate", "--fn", "ln", "--from", "1", "--to", "nan", "--step", "1"],
             ["tabulate", "--fn", "ln", "--from", "1", "--to", "2", "--step", "1e-300"],
             ["tabulate", "--fn", "psi2g", "--from", "0.5", "--to", "1.5", "--step", "0.5",
-             "--tol", "1e-12", "--format", "json"]]
+             "--tol", "1e-12", "--format", "json"],
+            # finite residuals, NaN sides
+            ["verify", "--fn", "psi2g", "--suite", "stirling", "--x=1e200,1e201,1e202",
+             "--format", "csv"],
+            ["verify", "--fn", "psi2g", "--suite", "stirling", "--x=1e200,1e201,1e202",
+             "--format", "json"]]
     # argparse rejections (exit 2 through SystemExit)
     out += [[], ["nosuch"], ["verify", "--fn", "ln"],
             ["verify", "--fn", "ln", "--suite", "nosuch"],
