@@ -299,15 +299,23 @@ def _suite_wendel(entry, ms, xs):
         reports.append((identities.make_report("wendel-tail", a_grid, tail), 1e-4))
     else:
         xs = xs or [16.0, 64.0, 256.0]
-        points, residuals = [], []
-        for a in (0.25, 1.5, 3.0):
-            mags = [abs(asymptotics.wendel_residual(entry.g, a, x)) for x in xs]
-            for i in range(len(mags) - 1):
-                points.append([a, xs[i], xs[i + 1]])
-                residuals.append(max(0.0, mags[i + 1] - mags[i]))
-        reports.append((identities.make_report("wendel-decay", points, residuals),
-                        1e-9))
+        rows = [([a], [abs(asymptotics.wendel_residual(entry.g, a, x)) for x in xs])
+                for a in (0.25, 1.5, 3.0)]
+        reports.append(_decay_report("wendel-decay", xs, rows))
     return reports
+
+
+def _decay_report(identity, xs, rows):
+    # each row (point prefix, |f(x)| for x in xs) should not grow from one x to the
+    # next; max(0.0, nan) is 0.0, and these reports have no sides to catch a NaN
+    points, residuals = [], []
+    for prefix, mags in rows:
+        if not all(math.isfinite(v) for v in mags):
+            raise ArithmeticError(f"{identity}: a magnitude is not finite")
+        for i in range(len(mags) - 1):
+            points.append([*prefix, xs[i], xs[i + 1]])
+            residuals.append(max(0.0, mags[i + 1] - mags[i]))
+    return identities.make_report(identity, points, residuals), 1e-9
 
 
 def _suite_stirling(entry, ms, xs):
@@ -323,12 +331,8 @@ def _suite_stirling(entry, ms, xs):
         return [(identities.make_report("stirling-bound", points, residuals, sides),
                  1e-9)]
     xs = xs or [10.0, 100.0, 1000.0]
-    mags = [abs(asymptotics.binet(entry.g, x)) for x in xs]
-    points, residuals = [], []
-    for i in range(len(mags) - 1):
-        points.append([xs[i], xs[i + 1]])
-        residuals.append(max(0.0, mags[i + 1] - mags[i]))
-    return [(identities.make_report("stirling-decay", points, residuals), 1e-9)]
+    return [_decay_report("stirling-decay", xs,
+                          [([], [abs(asymptotics.binet(entry.g, x)) for x in xs])])]
 
 
 def _suite_webster(entry, ms, xs):

@@ -12,16 +12,24 @@ Grammar (EBNF):
 exponent of "^" must be a constant expression (no x); write
 exp(b*ln(a)) for a genuinely variable exponent.
 
-Evaluation is Taylor-mode: eval_jet returns the truncated power-series
-coefficients c_k = g^(k)(x)/k! in one pass over the tree, which is what
-the derivative-hungry callers (Sigma derivatives, asymptotic
-expansions) consume.  Trees are parsed and evaluated here, never printed;
-the round-trip printer the tests use is in tests/reference.py.
+Every operator is written once, in one table per evaluator: _SCALAR[op]
+is its scalar form and carries the op's domain check, and _JET[op] is its
+Taylor-mode form, which takes its constant term, check included, from
+_SCALAR[op].  evaluate walks the tree through _SCALAR; eval_jet walks it
+through _JET and returns the truncated power-series coefficients
+c_k = g^(k)(x)/k! in one pass, which is what the derivative-hungry callers
+(Sigma derivatives, asymptotic expansions) consume.  "pow" is the jet
+walker's one special case: its exponent is a constant, evaluated as a
+scalar, and _jet_pow checks the base itself.  Trees are parsed and
+evaluated here, never printed; the round-trip printer the tests use is in
+tests/reference.py.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -68,7 +76,7 @@ class ArityError(ExprSyntaxError):
 
 
 class ExprDomainError(ExprError):
-    """Evaluation failure: domain violation, overflow, division by zero."""
+    """Evaluation failure: domain violation, overflow, a zero divisor."""
 
 
 @dataclass(frozen=True)
@@ -111,10 +119,12 @@ _CONSTANTS = {
 
 _FUNCTIONS = ("ln", "exp", "sin", "cos", "sqrt")
 
+# whitespace matches no group and is skipped; any other unmatched character is "bad"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S)"
 )
 
 
@@ -127,25 +137,11 @@ class _Token:
 
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    n = len(src)
-    while pos < n:
-        m = _TOKEN_RE.match(src, pos)
-        if m is None or m.end() == pos:
-            # skip leading whitespace manually to report the right offset
-            while pos < n and src[pos].isspace():
-                pos += 1
-            if pos >= n:
-                break
-            raise ExprSyntaxError(f"unexpected character {src[pos]!r}", pos)
-        if m.group("num") is not None:
-            tokens.append(_Token("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(_Token("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(_Token("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(src):
+        if m.lastgroup == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append(_Token(m.lastgroup, m.group(), m.start()))
+    tokens.append(_Token("end", "", len(src)))
     return tokens
 
 
@@ -165,6 +161,10 @@ class _Parser:
             raise ExprSyntaxError("empty expression", 0)
         self.tokens = _tokenize(src)
         self.i = 0
+        # partials, not methods: a partial adds no Python frame, so one level of
+        # parentheses costs five frames and about 198 levels fit the default limit
+        self.term = functools.partial(self._chain, self.factor, {"*": "mul", "/": "div"})
+        self.expr = functools.partial(self._chain, self.term, {"+": "add", "-": "sub"})
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -188,27 +188,13 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.offset)
         return e
 
-    def expr(self) -> Expr:
-        left = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                right = self.term()
-                left = Binary("add" if tok.text == "+" else "sub", left, right)
-            else:
-                return left
-
-    def term(self) -> Expr:
-        left = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self.advance()
-                right = self.factor()
-                left = Binary("mul" if tok.text == "*" else "div", left, right)
-            else:
-                return left
+    def _chain(self, operand, ops: dict[str, str]) -> Expr:
+        # operand (symbol operand)*, left-associative; ops maps symbol -> Binary op
+        left = operand()
+        while (tok := self.peek()).kind == "op" and tok.text in ops:
+            self.advance()
+            left = Binary(ops[tok.text], left, operand())
+        return left
 
     def factor(self) -> Expr:
         tok = self.peek()
@@ -281,52 +267,29 @@ def parse(src: str) -> Expr:
     return _Parser(src).parse()
 
 
-def _eval_scalar(e: Expr, x: float) -> float:
-    if isinstance(e, Literal):
-        return e.value
-    if isinstance(e, Constant):
-        return _CONSTANTS[e.name]
-    if isinstance(e, Variable):
-        return x
-    if isinstance(e, Unary):
-        v = _eval_scalar(e.child, x)
-        if e.op == "neg":
-            return -v
-        if e.op == "ln":
-            if v <= 0.0:
-                raise ExprDomainError(f"ln of nonpositive value {v!r}")
-            return math.log(v)
-        if e.op == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                raise ExprDomainError(f"exp overflow at argument {v!r}") from None
-        if e.op == "sin":
-            return math.sin(v)
-        if e.op == "cos":
-            return math.cos(v)
-        if e.op == "sqrt":
-            if v <= 0.0:
-                raise ExprDomainError(f"sqrt of nonpositive value {v!r}")
-            return math.sqrt(v)
-        raise AssertionError(e.op)
-    if isinstance(e, Binary):
-        a = _eval_scalar(e.left, x)
-        b = _eval_scalar(e.right, x)
-        if e.op == "add":
-            return a + b
-        if e.op == "sub":
-            return a - b
-        if e.op == "mul":
-            return a * b
-        if e.op == "div":
-            if b == 0.0:
-                raise ExprDomainError("division by zero")
-            return a / b
-        if e.op == "pow":
-            return _scalar_pow(a, b)
-        raise AssertionError(e.op)
-    raise AssertionError(type(e))
+def _ln(v: float) -> float:
+    if v <= 0.0:
+        raise ExprDomainError(f"ln of nonpositive value {v!r}")
+    return math.log(v)
+
+
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise ExprDomainError(f"exp overflow at argument {v!r}") from None
+
+
+def _sqrt(v: float) -> float:
+    if v <= 0.0:
+        raise ExprDomainError(f"sqrt of nonpositive value {v!r}")
+    return math.sqrt(v)
+
+
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise ExprDomainError("division by zero")
+    return a / b
 
 
 def _scalar_pow(a: float, q: float) -> float:
@@ -339,17 +302,43 @@ def _scalar_pow(a: float, q: float) -> float:
         except OverflowError:
             raise ExprDomainError("overflow in power") from None
     if a <= 0.0:
-        raise ExprDomainError(
-            f"non-integer power of nonpositive base {a!r}"
-        )
+        raise ExprDomainError(f"non-integer power of nonpositive base {a!r}")
     try:
         return a**q
     except OverflowError:
         raise ExprDomainError("overflow in power") from None
 
 
+_SCALAR = {
+    "neg": operator.neg, "ln": _ln, "exp": _exp, "sin": math.sin, "cos": math.cos,
+    "sqrt": _sqrt, "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "div": _div, "pow": _scalar_pow,
+}
+
+
+def _eval_scalar(e: Expr, x: float) -> float:
+    if isinstance(e, Binary):
+        return _SCALAR[e.op](_eval_scalar(e.left, x), _eval_scalar(e.right, x))
+    if isinstance(e, Unary):
+        return _SCALAR[e.op](_eval_scalar(e.child, x))
+    if isinstance(e, Literal):
+        return e.value
+    if isinstance(e, Constant):
+        return _CONSTANTS[e.name]
+    if isinstance(e, Variable):
+        return x
+    raise AssertionError(type(e))
+
+
 def evaluate(e: Expr, x: float) -> float:
-    """Plain evaluation; identical to eval_jet(e, x, 0).coeffs[0]."""
+    """g(x) by one scalar walk of the tree; ExprDomainError outside g's domain.
+
+    Without "^" this equals eval_jet(e, x, 0).coeffs[0] whenever eval_jet
+    returns, and raises ExprDomainError whenever that does.  An integer
+    power is float ** int here and repeated jet products there, so the two
+    may differ in the last bit, and 0^(-n) is a negative power of zero here
+    but a zero divisor there.
+    """
     v = _eval_scalar(e, x)
     if not math.isfinite(v):
         raise ExprDomainError(f"non-finite result {v!r}")
@@ -362,10 +351,6 @@ class Jet:
 
     center: float
     coeffs: tuple[float, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
     def derivative(self, k: int) -> float:
         """g^(k)(center), recovered as k! * c_k."""
@@ -380,47 +365,31 @@ def _jet_mul(u: list[float], v: list[float]) -> list[float]:
 
 
 def _jet_div(u: list[float], v: list[float]) -> list[float]:
-    if v[0] == 0.0:
-        raise ExprDomainError("division by zero")
-    r = len(u)
-    w = [0.0] * r
-    for k in range(r):
+    w = [_div(u[0], v[0])] + [0.0] * (len(u) - 1)
+    for k in range(1, len(u)):
         acc = u[k] - math.fsum(w[j] * v[k - j] for j in range(k))
         w[k] = acc / v[0]
     return w
 
 
 def _jet_ln(u: list[float]) -> list[float]:
-    if u[0] <= 0.0:
-        raise ExprDomainError(f"ln of nonpositive value {u[0]!r}")
-    r = len(u)
-    v = [0.0] * r
-    v[0] = math.log(u[0])
-    for k in range(1, r):
+    v = [_ln(u[0])] + [0.0] * (len(u) - 1)
+    for k in range(1, len(u)):
         acc = u[k] - math.fsum(j * v[j] * u[k - j] for j in range(1, k)) / k
         v[k] = acc / u[0]
     return v
 
 
 def _jet_exp(u: list[float]) -> list[float]:
-    r = len(u)
-    v = [0.0] * r
-    try:
-        v[0] = math.exp(u[0])
-    except OverflowError:
-        raise ExprDomainError(f"exp overflow at argument {u[0]!r}") from None
-    for k in range(1, r):
+    v = [_exp(u[0])] + [0.0] * (len(u) - 1)
+    for k in range(1, len(u)):
         v[k] = math.fsum(j * u[j] * v[k - j] for j in range(1, k + 1)) / k
     return v
 
 
 def _jet_sqrt(u: list[float]) -> list[float]:
-    if u[0] <= 0.0:
-        raise ExprDomainError(f"sqrt of nonpositive value {u[0]!r}")
-    r = len(u)
-    v = [0.0] * r
-    v[0] = math.sqrt(u[0])
-    for k in range(1, r):
+    v = [_sqrt(u[0])] + [0.0] * (len(u) - 1)
+    for k in range(1, len(u)):
         acc = u[k] - math.fsum(v[j] * v[k - j] for j in range(1, k))
         v[k] = acc / (2.0 * v[0])
     return v
@@ -439,20 +408,15 @@ def _jet_sincos(u: list[float]) -> tuple[list[float], list[float]]:
 
 
 def _jet_int_pow(u: list[float], n: int) -> list[float]:
-    r = len(u)
-    if n == 0:
-        return [1.0] + [0.0] * (r - 1)
+    acc = [1.0] + [0.0] * (len(u) - 1)
     if n < 0:
-        one = [1.0] + [0.0] * (r - 1)
-        return _jet_div(one, _jet_int_pow(u, -n))
-    acc = [1.0] + [0.0] * (r - 1)
+        return _jet_div(acc, _jet_int_pow(u, -n))
     base = list(u)
-    m = n
-    while m:
-        if m & 1:
+    while n:
+        if n & 1:
             acc = _jet_mul(acc, base)
-        m >>= 1
-        if m:
+        n >>= 1
+        if n:
             base = _jet_mul(base, base)
     return acc
 
@@ -462,9 +426,7 @@ def _jet_pow(u: list[float], q: float) -> list[float]:
     if abs(q - qi) < 1e-12:
         return _jet_int_pow(u, int(qi))
     if u[0] <= 0.0:
-        raise ExprDomainError(
-            f"non-integer power of nonpositive base {u[0]!r}"
-        )
+        raise ExprDomainError(f"non-integer power of nonpositive base {u[0]!r}")
     # u w' = q u' w  =>  k u_0 w_k = sum_j ((q+1) j - k) u_j w_{k-j}
     r = len(u)
     w = [0.0] * r
@@ -477,52 +439,28 @@ def _jet_pow(u: list[float], q: float) -> list[float]:
     return w
 
 
+_JET = {
+    "neg": lambda u: [-t for t in u], "ln": _jet_ln, "exp": _jet_exp,
+    "sin": lambda u: _jet_sincos(u)[0], "cos": lambda u: _jet_sincos(u)[1],
+    "sqrt": _jet_sqrt, "add": lambda u, w: [a + b for a, b in zip(u, w)],
+    "sub": lambda u, w: [a - b for a, b in zip(u, w)], "mul": _jet_mul, "div": _jet_div,
+}
+
+
 def _eval_jet_node(e: Expr, x: float, r: int) -> list[float]:
-    if isinstance(e, Literal):
-        return [e.value] + [0.0] * r
-    if isinstance(e, Constant):
-        return [_CONSTANTS[e.name]] + [0.0] * r
-    if isinstance(e, Variable):
-        out = [x] + [0.0] * r
-        if r >= 1:
-            out[1] = 1.0
-        return out
-    if isinstance(e, Unary):
-        u = _eval_jet_node(e.child, x, r)
-        if e.op == "neg":
-            v = [-t for t in u]
-        elif e.op == "ln":
-            v = _jet_ln(u)
-        elif e.op == "exp":
-            v = _jet_exp(u)
-        elif e.op == "sin":
-            v = _jet_sincos(u)[0]
-        elif e.op == "cos":
-            v = _jet_sincos(u)[1]
-        elif e.op == "sqrt":
-            v = _jet_sqrt(u)
+    if isinstance(e, Binary):
+        u = _eval_jet_node(e.left, x, r)
+        if e.op == "pow":  # the exponent is constant by parse
+            v = _jet_pow(u, _eval_scalar(e.right, 0.0))
         else:
-            raise AssertionError(e.op)
-    elif isinstance(e, Binary):
-        if e.op == "pow":
-            u = _eval_jet_node(e.left, x, r)
-            q = _eval_scalar(e.right, 0.0)  # exponent is constant by parse
-            v = _jet_pow(u, q)
-        else:
-            u = _eval_jet_node(e.left, x, r)
-            w = _eval_jet_node(e.right, x, r)
-            if e.op == "add":
-                v = [a + b for a, b in zip(u, w)]
-            elif e.op == "sub":
-                v = [a - b for a, b in zip(u, w)]
-            elif e.op == "mul":
-                v = _jet_mul(u, w)
-            elif e.op == "div":
-                v = _jet_div(u, w)
-            else:
-                raise AssertionError(e.op)
-    else:
-        raise AssertionError(type(e))
+            v = _JET[e.op](u, _eval_jet_node(e.right, x, r))
+    elif isinstance(e, Unary):
+        v = _JET[e.op](_eval_jet_node(e.child, x, r))
+    else:  # a leaf: its value, and dx/dx = 1 for the variable
+        v = [_eval_scalar(e, x)] + [0.0] * r
+        if isinstance(e, Variable) and r:
+            v[1] = 1.0
+        return v
     for t in v:
         if not math.isfinite(t):
             raise ExprDomainError("non-finite intermediate value (overflow?)")

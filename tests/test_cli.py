@@ -218,6 +218,20 @@ def test_verify_non_finite_side_is_a_convergence_failure(fmt, capsys):
         "error: convergence failure: stirling-bound: a side is not finite\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, identity", [
+    (["--fn", "psi2g", "--suite", "wendel"], "wendel-decay"),
+    (["--fn", "xlnx", "--suite", "stirling"], "stirling-decay"),
+])
+def test_verify_non_finite_decay_magnitude_is_a_convergence_failure(argv, identity, fmt,
+                                                                    capsys):
+    # each residual max(0, |f(x')| - |f(x)|) of NaN magnitudes reads 0.0, a pass
+    code, text = run_cli("verify", *argv, "--x=1e200,1e201", "--format", fmt)
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == \
+        f"error: convergence failure: {identity}: a magnitude is not finite\n"
+
+
 @pytest.mark.parametrize("flag, grid", [("--m", "2,3"), ("--x", "0.25,0.5")])
 @pytest.mark.parametrize("suite", list(cli._SUITES))
 def test_verify_follows_the_suite_table(suite, flag, grid, capsys):

@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 from indefsum.exprlang import (
     ArityError,
     Binary,
+    Constant,
     ExprDomainError,
     ExprSyntaxError,
+    Literal,
+    Unary,
     UnknownIdentifierError,
+    Variable,
     eval_jet,
     evaluate,
     parse,
@@ -186,3 +190,34 @@ def test_jet_constant_term_equals_evaluation(x):
     tree = parse(PIN_SRC)
     assert eval_jet(tree, x, 3).coeffs[0] == pytest.approx(
         evaluate(tree, x), rel=1e-15, abs=1e-15)
+
+
+# trees of every operator but "^", whose integer powers the two walkers compute
+# by different means
+_TREES = st.recursive(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(Literal),
+              st.sampled_from(["pi", "e", "euler_gamma", "ln_glaisher"]).map(Constant),
+              st.just(Variable())),
+    lambda kids: st.one_of(
+        st.builds(Unary, st.sampled_from(["neg", "ln", "exp", "sin", "cos", "sqrt"]), kids),
+        st.builds(Binary, st.sampled_from(["add", "sub", "mul", "div"]), kids, kids)),
+    max_leaves=12)
+
+
+@given(tree=_TREES, x=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@settings(max_examples=300, deadline=None)
+def test_order_zero_jet_is_the_scalar_walk(tree, x):
+    # one rule per op: the jet's constant term is the op's scalar form, domain
+    # check included
+    try:
+        c0 = eval_jet(tree, x, 0).coeffs[0]
+    except ExprDomainError:
+        c0 = None
+    try:
+        value = evaluate(tree, x)
+    except ValueError:  # ExprDomainError, or sin/cos of an overflowed intermediate
+        assert c0 is None
+    else:
+        # a jet stops at the first non-finite intermediate; the scalar walk
+        # only checks its result, so 1/(x*inf) may still return 0.0
+        assert c0 is None or c0 == value

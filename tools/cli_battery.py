@@ -12,7 +12,9 @@ Two source trees whose batteries print the same lines agree byte for byte
 on every exit code, payload, error message and --help text the calls
 reach.  The calls cover every subcommand in both formats on the four
 catalog entries and both benchmark expressions, every verify suite and
-`all`, grid and --p/--shape overrides, bad input, argparse rejections,
+`all`, grid and --p/--shape overrides, bad input, every operator of the
+expression language through evaluate and jets, each of its evaluation-time
+failures and parse-error classes, argparse rejections,
 every --help, and the argvs of perfbench's verify_pass and cold_pass for
 seeds 1-3 (perfbench/workloads.py is imported only to draw them).
 Standard library only.
@@ -35,6 +37,27 @@ FUNCTIONS = (("--fn", "ln"), ("--fn", "psi2g"), ("--fn", "xlnx"), ("--fn", "reci
 SUITES = ("raabe", "mult", "wendel", "stirling", "webster", "wallis", "reflection",
           "taylor", "euler-series", "inequalities")
 SUBCOMMANDS = ("eval", "constants", "verify", "expand", "tabulate", "catalog")
+# between them every operator of the expression language, every named constant,
+# unary minus, and integer, negative and fractional exponents
+EXPRESSIONS = ("ln(x)^2 + x^0.5", "sqrt(x) - exp(-x)", "x^(-2) + sin(1/x) - cos(1/x)/x^3",
+               "(x+1)^3/x^3*e - euler_gamma + ln_glaisher/pi", "-x^(-1)",
+               "x^(-1.5)*sqrt(x+2)", "\tx *\n2 +\u00a01/x")
+# each evaluation-time failure of an expression, under eval and under expand
+# (whose jets meet some of them first); --p and --shape skip the classification
+# that would reject the expression first
+EXPR_FAULTS = (("eval", "ln(x-0.5)", "0.25"), ("expand", "ln(x-0.5)", "0.25"),
+               ("eval", "sqrt(x-0.5)", "0.25", "--p", "2", "--shape", "concave"),
+               ("expand", "sqrt(x-0.5)", "0.25", "--p", "2", "--shape", "concave"),
+               ("eval", "exp(1/(x-0.5))", "0.501"), ("expand", "exp(1/(x-0.5))", "0.25"),
+               ("eval", "1/(x-0.5)", "0.5"), ("expand", "1/(x-0.5)", "0.5"),
+               ("eval", "(x-0.5)^(-2)", "0.5"), ("expand", "(x-0.5)^(-2)", "0.25"),
+               ("eval", "(x-0.5)^(-0.5)", "0.25"), ("expand", "(x-0.5)^(-0.5)", "0.25"),
+               ("eval", "x^400", "2"), ("expand", "x^400", "2"),
+               ("eval", "x*x", "1e300", "--p", "3", "--shape", "convex"), ("eval", "1e999", "2"),
+               ("expand", "1/x", "1e-300", "--q", "8"))
+# one source text per parse-error class and message
+BAD_SOURCES = ("x $ 2", "x\u00b72", "ln(x", "x 3", "1.5.2", "2^x", "", "  ", "y + 1",
+               "foo(x)", "x(2)", "pi(1)", "ln x", "ln")
 
 
 def _workload_argvs() -> list[list[str]]:
@@ -141,6 +164,24 @@ def calls() -> list[list[str]]:
              "--format", "csv"],
             ["verify", "--fn", "psi2g", "--suite", "stirling", "--x=1e200,1e201,1e202",
              "--format", "json"]]
+    # a decay report with NaN magnitudes
+    for fmt in ("csv", "json"):
+        out += [["verify", "--fn", "psi2g", "--suite", "wendel", "--x=1e200,1e201",
+                 "--format", fmt],
+                ["verify", "--fn", "xlnx", "--suite", "stirling", "--x=1e200,1e201",
+                 "--format", fmt]]
+    # the expression language
+    for src in EXPRESSIONS:
+        out += [["eval", f"--expr={src}", "--x", "0.5,3,17.25"],
+                ["eval", f"--expr={src}", "--x", "2", "--format", "json"],
+                ["expand", f"--expr={src}", "--x", "12.5"],
+                ["expand", f"--expr={src}", "--x", "7", "--q", "3", "--m", "2",
+                 "--format", "json"],
+                ["tabulate", f"--expr={src}", "--from", "0.5", "--to", "3", "--step", "0.75"]]
+    for cmd, src, x, *flags in EXPR_FAULTS:
+        flags = flags if "--p" in flags else ["--p", "1", "--shape", "convex", *flags]
+        out.append([cmd, f"--expr={src}", "--x", x, *flags])
+    out += [["eval", f"--expr={src}", "--x", "2"] for src in BAD_SOURCES]
     # argparse rejections (exit 2 through SystemExit)
     out += [[], ["nosuch"], ["verify", "--fn", "ln"],
             ["verify", "--fn", "ln", "--suite", "nosuch"],
