@@ -13,15 +13,14 @@ gregory_terms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numerics import bernoulli_number, forward_diffs, gen_binomial, gregory_terms
 from .sigma import GFunction, integral_from_1, sigma
 from .constants import asymptotic_constant
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
+class ExpansionTerm(NamedTuple):
     """One Bernoulli correction term: value = coefficient * g^(k-1)(x)."""
 
     k: int

@@ -10,9 +10,8 @@ trust.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .exprlang import Jet, eval_jet, evaluate, parse
 from .shape import classify
@@ -36,8 +35,7 @@ def named_constant(name: str) -> float:
     return NAMED_CONSTANTS[name]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A GFunction plus the ground truth the tests compare against.
 
     offset shifts the normalized Sigma g onto the named special function

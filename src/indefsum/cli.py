@@ -20,15 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
 import math
 import random
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import asymptotics, constants, identities
 from .catalog import CATALOG_NAMES, CatalogEntry, builtin, from_expression, \
@@ -36,7 +33,7 @@ from .catalog import CATALOG_NAMES, CatalogEntry, builtin, from_expression, \
 from .exprlang import ExprError
 from .numerics import NAMED_CONSTANTS, QuadratureError
 from .shape import ShapeError, dp_degree
-from .sigma import sigma
+from .sigma import GFunction, sigma
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -51,25 +48,18 @@ class CliInputError(ValueError):
     """Bad flags, unknown names, unparsable grids: exit code 2."""
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    fn: Optional[str]
-    expr: Optional[str]
-    p: Optional[int]
-    shape: Optional[str]
-    tol: float
-    fmt: str
-    seed: int
+    """The flags every subcommand but catalog shares; label names the function."""
 
-    def __post_init__(self):
-        if (self.fn is None) == (self.expr is None):
+    def __init__(self, fn: str | None, expr: str | None, p: int | None,
+                 shape: str | None, tol: float, fmt: str, seed: int):
+        if (fn is None) == (expr is None):
             raise CliInputError("exactly one of --fn / --expr is required")
-        if not (math.isfinite(self.tol) and self.tol >= 1e-12):
+        if not (math.isfinite(tol) and tol >= 1e-12):
             raise CliInputError("--tol must be finite and >= 1e-12")
-
-    @property
-    def label(self) -> str:
-        return self.fn if self.fn is not None else self.expr
+        self.fn, self.expr, self.p, self.shape = fn, expr, p, shape
+        self.tol, self.fmt, self.seed = tol, fmt, seed
+        self.label = fn if fn is not None else expr
 
 
 def _fmt(v) -> str:
@@ -114,12 +104,11 @@ def _resolve_entry(cfg: RunConfig) -> CatalogEntry:
             )
         entry = builtin(cfg.fn)
         if cfg.p is not None or cfg.shape is not None:
-            g = dataclasses.replace(
-                entry.g,
-                p=cfg.p if cfg.p is not None else entry.g.p,
-                shape=cfg.shape if cfg.shape is not None else entry.g.shape,
-            )
-            entry = dataclasses.replace(entry, g=g)
+            g = entry.g  # builtin entries are shared: override a copy, caches included
+            entry = entry._replace(g=GFunction(
+                g.eval, g.jet, g.antideriv, g.p if cfg.p is None else cfg.p,
+                g.shape if cfg.shape is None else cfg.shape, g.name, g.sigma_constant,
+                g.anchor_integrals))
     else:
         try:
             entry = from_expression(cfg.expr, p=cfg.p, shape=cfg.shape,
@@ -372,7 +361,7 @@ def _suite_inequalities(entry, ms, xs):
     reports = []
     rep = identities.inequality_chains_psi2([0.25 * i for i in range(1, 21)],
                                             [0.25 * j for j in range(10)])
-    reports.append((dataclasses.replace(rep, identity="inequality-chains"), 1e-9))
+    reports.append((rep._replace(identity="inequality-chains"), 1e-9))
     grid = [0.1 * k for k in range(1, 51)] + [10.0, 20.0, 35.0, 50.0]
     pts, res, sd = [], [], []
     for x in grid:

@@ -11,15 +11,14 @@ gamma[g] peels off the Gregory head sum_{j<=p} G_j Delta^{j-1} g(1)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numerics import gregory_terms
 from .shape import ShapeError, dp_degree
 from .sigma import GFunction, gregory_constant
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
+class ConstantsReport(NamedTuple):
     p: int
     sigma: float
     gamma_gen: float

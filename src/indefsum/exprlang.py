@@ -20,7 +20,9 @@ through _JET and returns the truncated power-series coefficients
 c_k = g^(k)(x)/k! in one pass, which is what the derivative-hungry callers
 (Sigma derivatives, asymptotic expansions) consume.  "pow" is the jet
 walker's one special case: its exponent is a constant, evaluated as a
-scalar, and _jet_pow checks the base itself.  Trees are parsed and
+scalar, and _jet_pow takes its constant term from _scalar_pow.  parse
+refuses a tree or a nesting deeper than _MAX_DEPTH levels, so no walk of
+what it returns meets the recursion limit.  Trees are parsed and
 evaluated here, never printed; the round-trip printer the tests use is in
 tests/reference.py.
 """
@@ -31,8 +33,7 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .numerics import NAMED_CONSTANTS
 
@@ -79,29 +80,24 @@ class ExprDomainError(ExprError):
     """Evaluation failure: domain violation, overflow, a zero divisor."""
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Variable:
-    pass
+class Variable(NamedTuple):
+    name: str = "x"  # a field, because a tuple without one is false
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # neg | ln | exp | sin | cos | sqrt
     child: "Expr"
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # add | sub | mul | div | pow
     left: "Expr"
     right: "Expr"
@@ -128,8 +124,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # num | ident | op | end
     text: str
     offset: int
@@ -155,14 +150,23 @@ def _contains_variable(e: Expr) -> bool:
     return False
 
 
+# parse refuses a tree more than _MAX_DEPTH nodes deep and "(", calls or "^"
+# nested more than _MAX_DEPTH deep: the tree walkers recurse about once per
+# node and the parser six times per nesting, so from any caller with a few
+# hundred frames to spare neither meets Python's default recursion limit
+_MAX_DEPTH = 100
+
+
 class _Parser:
+    # each rule returns (tree, depth of the tree in nodes); self.nesting counts
+    # the "(", calls and "^" around the token being read
     def __init__(self, src: str):
         if not src or not src.strip():
             raise ExprSyntaxError("empty expression", 0)
         self.tokens = _tokenize(src)
         self.i = 0
-        # partials, not methods: a partial adds no Python frame, so one level of
-        # parentheses costs five frames and about 198 levels fit the default limit
+        self.nesting = 0
+        # partials, not methods: a partial adds no Python frame
         self.term = functools.partial(self._chain, self.factor, {"*": "mul", "/": "div"})
         self.expr = functools.partial(self._chain, self.term, {"+": "add", "-": "sub"})
 
@@ -182,48 +186,65 @@ class _Parser:
         raise ExprSyntaxError(f"expected {text!r}", tok.offset)
 
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.offset)
         return e
 
-    def _chain(self, operand, ops: dict[str, str]) -> Expr:
+    @staticmethod
+    def _check_depth(depth: int, tok: _Token) -> int:
+        if depth > _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {_MAX_DEPTH} levels",
+                                  tok.offset)
+        return depth
+
+    def _nested(self, rule, tok: _Token) -> tuple[Expr, int]:
+        # rule() read one "(", call or "^" further in, the one opened at tok
+        self.nesting = self._check_depth(self.nesting + 1, tok)
+        result = rule()
+        self.nesting -= 1
+        return result
+
+    def _chain(self, operand, ops: dict[str, str]) -> tuple[Expr, int]:
         # operand (symbol operand)*, left-associative; ops maps symbol -> Binary op
-        left = operand()
+        left, depth = operand()
         while (tok := self.peek()).kind == "op" and tok.text in ops:
             self.advance()
-            left = Binary(ops[tok.text], left, operand())
-        return left
+            right, d = operand()
+            depth = self._check_depth(max(depth, d) + 1, tok)
+            left = Binary(ops[tok.text], left, right)
+        return left, depth
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Unary("neg", self.power())
+            child, depth = self.power()
+            return Unary("neg", child), self._check_depth(depth + 1, tok)
         return self.power()
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        base, depth = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             exp_offset = self.peek().offset
-            exponent = self.factor()
+            exponent, d = self._nested(self.factor, tok)
             if _contains_variable(exponent):
                 raise ExprSyntaxError(
                     "exponent of '^' must be a constant expression; "
                     "write exp(b*ln(a)) instead",
                     exp_offset,
                 )
-            return Binary("pow", base, exponent)
-        return base
+            return Binary("pow", base, exponent), self._check_depth(max(depth, d) + 1, tok)
+        return base, depth
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Literal(float(tok.text))
+            return Literal(float(tok.text)), 1
         if tok.kind == "ident":
             self.advance()
             name = tok.text
@@ -237,13 +258,13 @@ class _Parser:
                         f"unknown identifier {name!r}", tok.offset
                     )
                 self.advance()
-                arg = self.expr()
+                arg, depth = self._nested(self.expr, nxt)
                 self.expect_op(")")
-                return Unary(name, arg)
+                return Unary(name, arg), self._check_depth(depth + 1, tok)
             if name == "x":
-                return Variable()
+                return Variable(), 1
             if name in _CONSTANTS:
-                return Constant(name)
+                return Constant(name), 1
             if name in _FUNCTIONS:
                 raise ArityError(
                     f"function {name!r} requires a parenthesized argument",
@@ -252,9 +273,9 @@ class _Parser:
             raise UnknownIdentifierError(f"unknown identifier {name!r}", tok.offset)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            e = self.expr()
+            result = self._nested(self.expr, tok)
             self.expect_op(")")
-            return e
+            return result
         raise ExprSyntaxError("expected a number, identifier or '('", tok.offset)
 
 
@@ -309,8 +330,19 @@ def _scalar_pow(a: float, q: float) -> float:
         raise ExprDomainError("overflow in power") from None
 
 
+def _periodic(fn):
+    # sin or cos raising ExprDomainError at an infinite argument, where math
+    # raises a bare ValueError
+    def scalar(v: float) -> float:
+        if math.isinf(v):
+            raise ExprDomainError(f"{fn.__name__} of non-finite value {v!r}")
+        return fn(v)
+    return scalar
+
+
 _SCALAR = {
-    "neg": operator.neg, "ln": _ln, "exp": _exp, "sin": math.sin, "cos": math.cos,
+    "neg": operator.neg, "ln": _ln, "exp": _exp,
+    "sin": _periodic(math.sin), "cos": _periodic(math.cos),
     "sqrt": _sqrt, "add": operator.add, "sub": operator.sub, "mul": operator.mul,
     "div": _div, "pow": _scalar_pow,
 }
@@ -345,8 +377,7 @@ def evaluate(e: Expr, x: float) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class Jet:
+class Jet(NamedTuple):
     """Truncated Taylor data: coeffs[k] = g^(k)(center)/k!."""
 
     center: float
@@ -425,12 +456,9 @@ def _jet_pow(u: list[float], q: float) -> list[float]:
     qi = round(q)
     if abs(q - qi) < 1e-12:
         return _jet_int_pow(u, int(qi))
-    if u[0] <= 0.0:
-        raise ExprDomainError(f"non-integer power of nonpositive base {u[0]!r}")
     # u w' = q u' w  =>  k u_0 w_k = sum_j ((q+1) j - k) u_j w_{k-j}
     r = len(u)
-    w = [0.0] * r
-    w[0] = u[0] ** q
+    w = [_scalar_pow(u[0], q)] + [0.0] * (r - 1)
     for k in range(1, r):
         acc = math.fsum(
             ((q + 1.0) * j - k) * u[j] * w[k - j] for j in range(1, k + 1)

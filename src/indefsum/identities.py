@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import neg
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .numerics import gen_binomial, integrate, integrate_singular, zeta_int, \
     zeta_int_minus_1
@@ -32,8 +31,7 @@ from .exprlang import Jet
 GAUTSCHI_X0 = 1.461632144968362
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """One identity's evaluation grid with residuals.
 
     points and residuals are parallel lists; max_abs is the largest
@@ -45,7 +43,7 @@ class ResidualReport:
     points: list
     residuals: list[float]
     max_abs: float
-    sides: Optional[list] = field(default=None)
+    sides: Optional[list] = None
 
 
 def make_report(identity: str, points: list, residuals: list[float],

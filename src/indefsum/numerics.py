@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # the named constants of the catalog and of the expression language
 NAMED_CONSTANTS = {
@@ -80,9 +81,30 @@ def divided_difference(f: Callable[[float], float], nodes: Sequence[float]) -> f
     return vals[0]
 
 
+# G_1 .. G_30 and B_0 .. B_30, each the float nearest the exact rational that
+# _gregory_fraction or _bernoulli_fraction builds (the tests pin the two together)
+_GREGORY = (0.5, -0.08333333333333333, 0.041666666666666664, -0.02638888888888889,
+            0.01875, -0.014269179894179895, 0.01136739417989418, -0.00935653659611993,
+            0.00789255401234568, -0.006785849984634707, 0.005924056412337663,
+            -0.005236693257950285, 0.004677498407042265, -0.004214952239005473,
+            0.003826899553211884, -0.0034973498453499175, 0.0032144964313235674,
+            -0.0029694477154582097, 0.002755390299436716, -0.0025670225450072377,
+            0.00240016237859072, -0.0022514701977588703, 0.0021182495272954456,
+            -0.001998301255043453, 0.001889815463678697, -0.0017912900780718934,
+            0.0017014689263700736, -0.0016192940490963672, 0.0015438685969283421,
+            -0.001474427689060962)
+_BERNOULLI = (1.0, -0.5, 0.16666666666666666, 0.0, -0.03333333333333333, 0.0,
+              0.023809523809523808, 0.0, -0.03333333333333333, 0.0, 0.07575757575757576,
+              0.0, -0.2531135531135531, 0.0, 1.1666666666666667, 0.0, -7.092156862745098,
+              0.0, 54.971177944862156, 0.0, -529.1242424242424, 0.0, 6192.123188405797,
+              0.0, -86580.25311355312, 0.0, 1425517.1666666667, 0.0, -27298231.067816094,
+              0.0, 601580873.9006424)
+
+
 @lru_cache(maxsize=None)
 def _gregory_fraction(j: int) -> Fraction:
     # G_j = (1/j!) * integral_0^1 t(t-1)...(t-j+1) dt, done in exact rationals
+    from fractions import Fraction
     poly = [Fraction(1)]
     for i in range(j):
         shifted = [Fraction(0)] + poly
@@ -93,25 +115,17 @@ def _gregory_fraction(j: int) -> Fraction:
     return total / math.factorial(j)
 
 
-@lru_cache(maxsize=None)
-def _gregory_floats(J: int) -> tuple[float, ...]:
-    # (G_1, ..., G_J) as floats, converted once per order on first use
-    if J > 30:
-        raise ValueError("Gregory coefficient order must be in 1..30")
-    return tuple(float(_gregory_fraction(j)) for j in range(1, J + 1))
-
-
 def gregory_coeff(j: int) -> float:
     """Gregory coefficient G_j = integral_0^1 C(t, j) dt.
 
-    Computed in exact rational arithmetic (polynomial expansion of the
-    falling factorial, term-by-term integration) and converted to float
-    once per order, on first use; exactness avoids the cancellation that
+    A stored literal: the float nearest the exact rational G_j of
+    gregory_coeff_fraction (polynomial expansion of the falling factorial,
+    term-by-term integration); exactness avoids the cancellation that
     kills a naive float recurrence past j ~ 15.
     """
     if j < 1 or j > 30:
         raise ValueError("Gregory coefficient order must be in 1..30")
-    return _gregory_floats(j)[-1]
+    return _GREGORY[j - 1]
 
 
 def gregory_coeff_fraction(j: int) -> Fraction:
@@ -128,13 +142,15 @@ def gregory_terms(f: Callable[[float], float], x: float, J: int) -> list[float]:
     the one window f(x), ..., f(x+J-1), so the head costs J evaluations;
     J > 30 raises ValueError.
     """
-    coeffs = _gregory_floats(J)
+    if J > 30:
+        raise ValueError("Gregory coefficient order must be in 1..30")
     diffs = forward_diffs([f(x + i) for i in range(J)])
-    return [c * d for c, d in zip(coeffs, diffs)]
+    return [c * d for c, d in zip(_GREGORY, diffs)]
 
 
 @lru_cache(maxsize=None)
 def _bernoulli_fraction(k: int) -> Fraction:
+    from fractions import Fraction
     if k == 0:
         return Fraction(1)
     acc = Fraction(0)
@@ -146,12 +162,13 @@ def _bernoulli_fraction(k: int) -> Fraction:
 def bernoulli_number(k: int) -> float:
     """Bernoulli number B_k in the B_1 = -1/2 convention.
 
-    Standard recurrence sum_{j<=k} C(k+1, j) B_j = 0 in exact rationals,
-    cached. B_k = 0 for odd k >= 3.
+    A stored literal: the float nearest the exact rational B_k of
+    bernoulli_fraction (the recurrence sum_{j<=k} C(k+1, j) B_j = 0).
+    B_k = 0 for odd k >= 3.
     """
     if k < 0 or k > 30:
         raise ValueError("Bernoulli index must be in 0..30")
-    return float(_bernoulli_fraction(k))
+    return _BERNOULLI[k]
 
 
 def bernoulli_fraction(k: int) -> Fraction:
@@ -196,8 +213,7 @@ def zeta_int_minus_1(n: int) -> float:
     return _zeta_minus_1(n)
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Outcome of one adaptive integration."""
 
     value: float

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numerics import divided_difference, forward_diffs
 
@@ -21,8 +21,7 @@ class ShapeError(ValueError):
     """Raised when no admissible degree or shape can be certified."""
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(NamedTuple):
     """Outcome of classify().
 
     p          : certified decay degree (smallest passing order)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .exprlang import Jet
@@ -39,9 +38,8 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
 class GFunction:
-    """A function g with the metadata the engine needs.
+    """A function g with the metadata the engine needs; equal only to itself.
 
     eval must be finite on (0, inf); jet(x, r) returns Taylor data of
     order r (r <= 8 expected); antideriv, when present, is the definite
@@ -50,23 +48,21 @@ class GFunction:
     normally via shape.classify or catalog metadata); sigma_constant
     caches sigma[g] once sigma() or constants.asymptotic_constant has
     computed it; anchor_integrals caches integral_1^{30 * 2^k} g, k = 0,
-    1, ..., for integral_from_1 (a tuple: replace() copies never alias).
+    1, ..., for integral_from_1 (a tuple, so copies never alias it).
     """
 
-    eval: Callable[[float], float]
-    jet: Optional[Callable[[float, int], Jet]]
-    antideriv: Optional[Callable[[float], float]]
-    p: int
-    shape: str
-    name: str
-    sigma_constant: Optional[float] = field(default=None, repr=False)
-    anchor_integrals: tuple[float, ...] = field(default=(), repr=False)
-
-    def __post_init__(self):
-        if self.shape not in ("convex", "concave"):
+    def __init__(self, eval: Callable[[float], float],
+                 jet: Optional[Callable[[float, int], Jet]],
+                 antideriv: Optional[Callable[[float], float]], p: int, shape: str,
+                 name: str, sigma_constant: Optional[float] = None,
+                 anchor_integrals: tuple[float, ...] = ()):
+        if shape not in ("convex", "concave"):
             raise ValueError("shape must be 'convex' or 'concave'")
-        if self.p < 0:
+        if p < 0:
             raise ValueError("p must be >= 0")
+        self.eval, self.jet, self.antideriv = eval, jet, antideriv
+        self.p, self.shape, self.name = p, shape, name
+        self.sigma_constant, self.anchor_integrals = sigma_constant, anchor_integrals
 
     def __call__(self, x: float) -> float:
         return self.eval(x)
@@ -80,19 +76,25 @@ class GFunction:
         return self.jet(x, r).derivative(r)
 
 
-@dataclass(slots=True)
 class SigmaResult:
     """One evaluated point: a plain value, compared with ==, never hashed or cached.
 
     strategy is "gregory" for everything this package computes, with
     terms_used = J + N; only the test references (tests/reference.py)
-    label their routes "direct" and "eulerian".
+    label their routes "direct" and "eulerian".  Slotted: no per-point dict.
     """
 
-    value: float
-    err_estimate: float
-    strategy: str
-    terms_used: int
+    __slots__ = ("value", "err_estimate", "strategy", "terms_used")
+    __hash__ = None
+
+    def __init__(self, value: float, err_estimate: float, strategy: str, terms_used: int):
+        self.value, self.err_estimate = value, err_estimate
+        self.strategy, self.terms_used = strategy, terms_used
+
+    def __eq__(self, other):
+        return type(other) is SigmaResult and (
+            (self.value, self.err_estimate, self.strategy, self.terms_used)
+            == (other.value, other.err_estimate, other.strategy, other.terms_used))
 
 
 _QUAD_TOL = 1e-12

@@ -6,6 +6,9 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -113,6 +116,28 @@ def test_eval_rejects_bad_inputs():
     assert run_cli("tabulate", "--fn", "ln", "--p", "3", "--from", "1", "--to", "2",
                    "--step", "0.5")[0] == 0
     assert run_cli("verify", "--fn", "ln", "--p", "3", "--suite", "wendel")[0] == 0
+
+
+@pytest.mark.parametrize("src", ["(" * 250 + "x" + ")" * 250, "+".join(["x"] * 1500)],
+                         ids=["parens-250", "sum-1500"])
+def test_eval_too_deep_expression_is_bad_input(src, capsys):
+    # past the parser's depth limit, not a RecursionError from the parser or a walker
+    assert run_cli("eval", "--expr", src, "--x", "2") == (2, "")
+    assert capsys.readouterr().err.startswith("error: expression error: ")
+
+
+def test_cold_eval_loads_no_dataclasses_or_fractions():
+    # dataclasses (with inspect) and fractions (with decimal) were most of a cold
+    # call's import time; the engine's records and coefficient tables need neither
+    script = ("import sys; start = set(sys.modules); import indefsum.cli as cli; "
+              "cli.run(['eval', '--fn', 'ln', '--x', '7']); "
+              "print(sorted((set(sys.modules) - start) "
+              "& {'dataclasses', 'inspect', 'fractions', 'decimal'}))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_eval_unreachable_tolerance_is_convergence_failure():

@@ -1,14 +1,13 @@
 """Normalization constants: sigma[g], gamma[g], and their special-case
 integral and series representations."""
 
-import dataclasses
 import math
 
 import pytest
 
 from indefsum.catalog import builtin, from_expression
 from indefsum.numerics import integrate
-from indefsum.sigma import gregory_constant
+from indefsum.sigma import GFunction, gregory_constant
 from indefsum.constants import asymptotic_constant, constants_report, euler_constant_gen
 from indefsum.shape import ShapeError
 
@@ -84,8 +83,9 @@ def test_euler_constant_sign_geometry(ln_entry, psi2_entry):
 
 
 def test_euler_constant_rejects_non_minimal_order(ln_entry):
+    g = ln_entry.g
     with pytest.raises(ShapeError):
-        euler_constant_gen(dataclasses.replace(ln_entry.g, p=2))
+        euler_constant_gen(GFunction(g.eval, g.jet, g.antideriv, 2, g.shape, g.name))
 
 
 def test_gamma_piecewise_interp_routes(recip_entry, psi2_entry):

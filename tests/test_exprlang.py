@@ -50,10 +50,26 @@ def test_parse_reports_error_offset():
     assert exc.value.offset == 4
 
 
-@pytest.mark.parametrize("src", ["ln(x, 2)", "2 +", "(x", "x 3"])
+# 100 levels deep, the parser's limit, in each construct that nests
+DEEPEST = {"parens": "(" * 100 + "x" + ")" * 100, "calls": "sqrt(" * 99 + "x" + ")" * 99,
+           "chain": "+".join(["x"] * 100), "powers": "x" + "^1" * 99}
+
+
+@pytest.mark.parametrize("src", ["ln(x, 2)", "2 +", "(x", "x 3",
+                                 pytest.param("(" + DEEPEST["parens"] + ")", id="parens-101"),
+                                 pytest.param("sqrt(" + DEEPEST["calls"] + ")", id="calls-101"),
+                                 pytest.param(DEEPEST["chain"] + "+x", id="chain-101"),
+                                 pytest.param(DEEPEST["powers"] + "^1", id="powers-101")])
 def test_parse_rejects_malformed(src):
     with pytest.raises(ExprSyntaxError):
         parse(src)
+
+
+@pytest.mark.parametrize("kind", DEEPEST)
+def test_parse_and_walk_the_deepest_accepted_expressions(kind):
+    # the walkers recurse once per level: at the limit they must not overflow the stack
+    tree = parse(DEEPEST[kind])
+    assert evaluate(tree, 2.0) == eval_jet(tree, 2.0, 2).coeffs[0]
 
 
 def test_parse_rejects_unknown_identifiers():
@@ -96,6 +112,8 @@ def test_evaluate_powers():
     ("1/(x-1)", 1.0),
     ("ln(x-2)", 1.0),
     ("sqrt(-x)", 2.0),
+    ("sin(x*x)", 1e200),
+    ("cos(-x*x)", 1e200),
 ])
 def test_evaluate_domain_errors(src, x):
     with pytest.raises(ExprDomainError):
@@ -150,6 +168,16 @@ def test_eval_jet_identity_and_pin():
     jet = eval_jet(parse(PIN_SRC), 1.0, 1)
     assert jet.coeffs[0] == pytest.approx(0.5 * LN_2PI - 1.0, abs=1e-15)
     assert jet.coeffs[1] == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("src, x, r", [
+    ("x^1.5", 1e300, 0),
+    ("x^1.5", 1e300, 3),
+    ("(x-2)^0.5", 1.0, 2),
+])
+def test_eval_jet_pow_domain_errors(src, x, r):
+    with pytest.raises(ExprDomainError):
+        eval_jet(parse(src), x, r)
 
 
 def test_eval_jet_validation():
@@ -215,7 +243,7 @@ def test_order_zero_jet_is_the_scalar_walk(tree, x):
         c0 = None
     try:
         value = evaluate(tree, x)
-    except ValueError:  # ExprDomainError, or sin/cos of an overflowed intermediate
+    except ExprDomainError:
         assert c0 is None
     else:
         # a jet stops at the first non-finite intermediate; the scalar walk

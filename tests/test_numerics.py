@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indefsum import numerics
 from indefsum.numerics import (
     QuadratureError,
     bernoulli_fraction,
@@ -132,6 +133,12 @@ def test_gregory_signs_alternate_and_magnitudes_decrease():
         assert math.copysign(1.0, v) == expected_sign
     mags = [abs(v) for v in vals[1:]]
     assert all(b < a for a, b in zip(mags, mags[1:]))
+
+
+def test_coefficient_tables_are_the_exact_rationals_rounded():
+    # the engine reads G_1..G_30 and B_0..B_30 from literals, never from the builders
+    assert numerics._GREGORY == tuple(float(gregory_coeff_fraction(j)) for j in range(1, 31))
+    assert numerics._BERNOULLI == tuple(float(bernoulli_fraction(k)) for k in range(31))
 
 
 @pytest.mark.parametrize("J", range(1, 13))
