@@ -1,10 +1,11 @@
-"""Built-in function entries, independent reference oracles, named constants.
+"""Built-in function entries and their independent reference oracles.
 
 Each entry packages a GFunction (with closed-form jets and antiderivative)
 together with closed-form sigma/gamma values and an oracle computed by
 classical means only: Stirling-type series and direct quadrature, never
 the summation engine itself.  The oracles are what the acceptance tests
-trust.
+trust.  One table, _ENTRIES, holds each entry once; the named constants
+the closed forms are built from live in numerics.NAMED_CONSTANTS.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .sigma import GFunction
 from .numerics import NAMED_CONSTANTS, integrate
 
 _HALF_LN_2PI = NAMED_CONSTANTS["ln_2pi"] / 2.0
+_EULER_GAMMA = NAMED_CONSTANTS["euler_gamma"]
 
 # closed forms assembled from the named constants, frozen as literals so
 # results stay bit-identical across runs
@@ -26,13 +28,6 @@ _SIGMA_LN = -0.08106146679532726        # ln(2 pi)/2 - 1
 _SIGMA_PSI2G = -0.04177625636387937     # ln A + ln(2 pi)/4 - 3/4
 _GAMMA_PSI2G = 0.030945673793775146     # ln A + ln(2)/6 - 1/3
 _SIGMA_XLNX = -0.08457885629954907      # ln A - 1/3
-
-
-def named_constant(name: str) -> float:
-    """Stored value of a named constant; raises KeyError on unknown names."""
-    if name not in NAMED_CONSTANTS:
-        raise KeyError(f"unknown constant {name!r}")
-    return NAMED_CONSTANTS[name]
 
 
 class CatalogEntry(NamedTuple):
@@ -153,66 +148,32 @@ def _antideriv_psi2g(x: float) -> float:
     return 0.5 * x * x * math.log(x) - 0.75 * x * x + c * x + 0.75 - c
 
 
+# name -> (g, its jet, its antiderivative, p, sigma_closed, gamma_closed, offset,
+# reference); every entry is concave, and this order is CATALOG_NAMES
+_ENTRIES = {
+    "ln": (math.log, _jet_ln, lambda x: x * math.log(x) - x + 1.0, 1,
+           _SIGMA_LN, _SIGMA_LN, 0.0, reference_lgamma),
+    "psi2g": (lambda x: x * math.log(x) - x + _HALF_LN_2PI, _jet_psi2g, _antideriv_psi2g, 2,
+              _SIGMA_PSI2G, _GAMMA_PSI2G, _HALF_LN_2PI, reference_psi2),
+    "xlnx": (lambda x: x * math.log(x), _jet_xlnx,
+             lambda x: 0.5 * x * x * math.log(x) - 0.25 * x * x + 0.25, 2,
+             _SIGMA_XLNX, _GAMMA_PSI2G, 0.0,
+             # Sigma(x ln x) is the log-hyperfactorial: C(x,2) + psi2(x) - x psi2(1)
+             lambda x: 0.5 * x * (x - 1.0) + reference_psi2(x) - x * _HALF_LN_2PI),
+    "recip": (lambda x: 1.0 / x, _jet_recip, math.log, 0,
+              _EULER_GAMMA, _EULER_GAMMA, 0.0, lambda x: reference_digamma(x) + _EULER_GAMMA),
+}
+CATALOG_NAMES = tuple(_ENTRIES)
+
+
 @lru_cache(maxsize=None)
 def builtin(name: str) -> CatalogEntry:
     """Catalog lookup; entries are shared singletons (sigma cache included)."""
-    if name == "ln":
-        g = GFunction(
-            eval=math.log,
-            jet=_jet_ln,
-            antideriv=lambda x: x * math.log(x) - x + 1.0,
-            p=1, shape="concave", name="ln",
-        )
-        return CatalogEntry(
-            name="ln", g=g,
-            sigma_closed=_SIGMA_LN, gamma_closed=_SIGMA_LN,
-            offset=0.0, reference=reference_lgamma,
-        )
-    if name == "psi2g":
-        g = GFunction(
-            eval=lambda x: x * math.log(x) - x + _HALF_LN_2PI,
-            jet=_jet_psi2g,
-            antideriv=_antideriv_psi2g,
-            p=2, shape="concave", name="psi2g",
-        )
-        return CatalogEntry(
-            name="psi2g", g=g,
-            sigma_closed=_SIGMA_PSI2G, gamma_closed=_GAMMA_PSI2G,
-            offset=_HALF_LN_2PI, reference=reference_psi2,
-        )
-    if name == "xlnx":
-        g = GFunction(
-            eval=lambda x: x * math.log(x),
-            jet=_jet_xlnx,
-            antideriv=lambda x: 0.5 * x * x * math.log(x) - 0.25 * x * x + 0.25,
-            p=2, shape="concave", name="xlnx",
-        )
-        return CatalogEntry(
-            name="xlnx", g=g,
-            sigma_closed=_SIGMA_XLNX, gamma_closed=_GAMMA_PSI2G,
-            offset=0.0,
-            # Sigma(x ln x) is the log-hyperfactorial: C(x,2) + psi2(x) - x psi2(1)
-            reference=lambda x: 0.5 * x * (x - 1.0) + reference_psi2(x)
-                                - x * _HALF_LN_2PI,
-        )
-    if name == "recip":
-        g = GFunction(
-            eval=lambda x: 1.0 / x,
-            jet=_jet_recip,
-            antideriv=math.log,
-            p=0, shape="concave", name="recip",
-        )
-        return CatalogEntry(
-            name="recip", g=g,
-            sigma_closed=NAMED_CONSTANTS["euler_gamma"],
-            gamma_closed=NAMED_CONSTANTS["euler_gamma"],
-            offset=0.0,
-            reference=lambda x: reference_digamma(x) + NAMED_CONSTANTS["euler_gamma"],
-        )
-    raise KeyError(f"unknown catalog entry {name!r}")
-
-
-CATALOG_NAMES = ("ln", "psi2g", "xlnx", "recip")
+    if name not in _ENTRIES:
+        raise KeyError(f"unknown catalog entry {name!r}")
+    f, jet, antideriv, p, sigma_closed, gamma_closed, offset, reference = _ENTRIES[name]
+    g = GFunction(eval=f, jet=jet, antideriv=antideriv, p=p, shape="concave", name=name)
+    return CatalogEntry(name, g, sigma_closed, gamma_closed, offset, reference)
 
 
 def from_expression(src: str, p: Optional[int] = None, shape: Optional[str] = None,

@@ -11,7 +11,7 @@ bytes and errors are those of json.dumps(indent=2, allow_nan=False); it
 writes each list of scalars with one join, where json.dumps with an
 indent runs the pure-Python encoder.  The argparse tree is built once per
 process and reused by every run() call.  Each subparser names its handler
-cmd_*(cfg, args, out) and its default format; one table, _SUITES, gives
+cmd_*(args, out) and its default format; one table, _SUITES, gives
 each verify suite its runner, the grid flags it reads and whether it
 needs --fn psi2g.
 """
@@ -28,8 +28,7 @@ import random
 import sys
 
 from . import asymptotics, constants, identities
-from .catalog import CATALOG_NAMES, CatalogEntry, builtin, from_expression, \
-    named_constant
+from .catalog import CATALOG_NAMES, CatalogEntry, builtin, from_expression
 from .exprlang import ExprError
 from .numerics import NAMED_CONSTANTS, QuadratureError
 from .shape import ShapeError, dp_degree
@@ -46,20 +45,6 @@ _MAX_ROWS = 100_000
 
 class CliInputError(ValueError):
     """Bad flags, unknown names, unparsable grids: exit code 2."""
-
-
-class RunConfig:
-    """The flags every subcommand but catalog shares; label names the function."""
-
-    def __init__(self, fn: str | None, expr: str | None, p: int | None,
-                 shape: str | None, tol: float, fmt: str, seed: int):
-        if (fn is None) == (expr is None):
-            raise CliInputError("exactly one of --fn / --expr is required")
-        if not (math.isfinite(tol) and tol >= 1e-12):
-            raise CliInputError("--tol must be finite and >= 1e-12")
-        self.fn, self.expr, self.p, self.shape = fn, expr, p, shape
-        self.tol, self.fmt, self.seed = tol, fmt, seed
-        self.label = fn if fn is not None else expr
 
 
 def _fmt(v) -> str:
@@ -96,30 +81,35 @@ def _parse_ints(text: str, flag: str) -> list[int]:
     return out
 
 
-def _resolve_entry(cfg: RunConfig) -> CatalogEntry:
-    if cfg.fn is not None:
-        if cfg.fn not in CATALOG_NAMES:
+def _label(args) -> str:
+    # the function a subcommand reports on: the catalog name or the expression text
+    return args.fn if args.fn is not None else args.expr
+
+
+def _resolve_entry(args) -> CatalogEntry:
+    if args.fn is not None:
+        if args.fn not in CATALOG_NAMES:
             raise CliInputError(
-                f"unknown catalog function {cfg.fn!r}; choose from {', '.join(CATALOG_NAMES)}"
+                f"unknown catalog function {args.fn!r}; choose from {', '.join(CATALOG_NAMES)}"
             )
-        entry = builtin(cfg.fn)
-        if cfg.p is not None or cfg.shape is not None:
+        entry = builtin(args.fn)
+        if args.p is not None or args.shape is not None:
             g = entry.g  # builtin entries are shared: override a copy, caches included
             entry = entry._replace(g=GFunction(
-                g.eval, g.jet, g.antideriv, g.p if cfg.p is None else cfg.p,
-                g.shape if cfg.shape is None else cfg.shape, g.name, g.sigma_constant,
+                g.eval, g.jet, g.antideriv, g.p if args.p is None else args.p,
+                g.shape if args.shape is None else args.shape, g.name, g.sigma_constant,
                 g.anchor_integrals))
     else:
         try:
-            entry = from_expression(cfg.expr, p=cfg.p, shape=cfg.shape,
-                                    rng=random.Random(cfg.seed))
+            entry = from_expression(args.expr, p=args.p, shape=args.shape,
+                                    rng=random.Random(args.seed))
         except ExprError as exc:
             raise CliInputError(f"expression error: {exc}")
         except ShapeError as exc:
             raise CliInputError(f"classification failed: {exc}")
     # below the decay degree Delta^p g does not vanish and no route means anything
-    if cfg.p is not None and cfg.p < (degree := dp_degree(entry.g)):
-        raise CliInputError(f"--p {cfg.p} is below the decay degree {degree} of g")
+    if args.p is not None and args.p < (degree := dp_degree(entry.g)):
+        raise CliInputError(f"--p {args.p} is below the decay degree {degree} of g")
     return entry
 
 
@@ -180,12 +170,11 @@ def _emit_json(payload: dict) -> str:
     return _json_value(payload, "\n") + "\n"
 
 
-def _emit_rows(cfg: RunConfig, command: str, header: list[str], rows: list[list],
-               **fields) -> str:
+def _emit_rows(args, command: str, header: list[str], rows: list[list], **fields) -> str:
     # CSV under header, or JSON objects keyed by the same header
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         return _emit_csv(header, rows)
-    return _emit_json({"command": command, "function": cfg.label, **fields,
+    return _emit_json({"command": command, "function": _label(args), **fields,
                        "rows": [dict(zip(header, r)) for r in rows]})
 
 
@@ -199,30 +188,30 @@ def _sigma_point(g, x: float, tol: float):
 # ---------------------------------------------------------------------------
 # eval
 
-def cmd_eval(cfg: RunConfig, args, out) -> int:
+def cmd_eval(args, out) -> int:
     xs = _parse_floats(args.x, "--x")
-    entry = _resolve_entry(cfg)
+    entry = _resolve_entry(args)
     if any(x <= 0.0 for x in xs):
         raise CliInputError("--x values must be positive")
     shift = entry.offset if args.offset == "named" else 0.0
     rows = []
     for x in xs:
-        res = _sigma_point(entry.g, x, cfg.tol)
+        res = _sigma_point(entry.g, x, args.tol)
         rows.append([x, res.value + shift, res.err_estimate, res.strategy])
-    out.write(_emit_rows(cfg, "eval", ["x", "sigma", "err_estimate", "strategy"], rows,
+    out.write(_emit_rows(args, "eval", ["x", "sigma", "err_estimate", "strategy"], rows,
                          offset=args.offset))
-    return EXIT_CONVERGENCE if any(r[2] > cfg.tol for r in rows) else EXIT_OK
+    return EXIT_CONVERGENCE if any(r[2] > args.tol for r in rows) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # constants
 
-def cmd_constants(cfg: RunConfig, args, out) -> int:
-    entry = _resolve_entry(cfg)
+def cmd_constants(args, out) -> int:
+    entry = _resolve_entry(args)
     report = constants.constants_report(entry.g)
     payload = {
         "command": "constants",
-        "function": cfg.label,
+        "function": _label(args),
         "p": report.p,
         "shape": entry.g.shape,
         "sigma": report.sigma,
@@ -230,7 +219,7 @@ def cmd_constants(cfg: RunConfig, args, out) -> int:
         "err": report.err,
         "method": report.method,
     }
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         header = ["p", "shape", "sigma", "gamma", "err", "method"]
         out.write(_emit_csv(header, [[payload[h] for h in header]]))
     else:
@@ -334,8 +323,8 @@ def _suite_webster(entry, ms, xs):
 
 def _suite_wallis(entry, ms, xs):
     first, second = identities.wallis_extrapolated()
-    lim1 = named_constant("ln_2") / 12.0 - 3.0 * named_constant("ln_glaisher")
-    lim2 = named_constant("ln_glaisher") - named_constant("ln_2") / 12.0
+    lim1 = NAMED_CONSTANTS["ln_2"] / 12.0 - 3.0 * NAMED_CONSTANTS["ln_glaisher"]
+    lim2 = NAMED_CONSTANTS["ln_glaisher"] - NAMED_CONSTANTS["ln_2"] / 12.0
     return [_sides_report("wallis", ["first", "second"], [(first, lim1), (second, lim2)],
                           1e-9)]
 
@@ -373,7 +362,7 @@ def _suite_inequalities(entry, ms, xs):
         sd.append([alpha, value, beta])
     reports.append((identities.make_report("alpha-beta-bounds", pts, res, sd), 1e-9))
     sup = identities.alpha_beta_sup_gap()
-    target = (3.0 * named_constant("ln_2") - 1.0) / 18.0
+    target = (3.0 * NAMED_CONSTANTS["ln_2"] - 1.0) / 18.0
     reports.append((identities.make_report("alpha-beta-sup-gap", ["sup"],
                                            [sup - target], [[sup, target]]), 1e-3))
     return reports
@@ -396,10 +385,10 @@ _SUITES = {
 }
 
 
-def cmd_verify(cfg: RunConfig, args, out) -> int:
+def cmd_verify(args, out) -> int:
     ms = _parse_ints(args.m, "--m") if args.m is not None else None
     xs = _parse_floats(args.x, "--x") if args.x is not None else None
-    entry = _resolve_entry(cfg)
+    entry = _resolve_entry(args)
     suite = args.suite
     if suite == "all":
         wanted = [s for s, (_, _, psi2_only) in _SUITES.items()
@@ -425,10 +414,10 @@ def cmd_verify(cfg: RunConfig, args, out) -> int:
             raise ArithmeticError(f"{rep.identity}: a side is not finite")
     # a suite that checked nothing is not a pass
     all_pass = bool(collected) and all(rep.max_abs <= tol for rep, tol in collected)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         out.write(_emit_json({
             "command": "verify",
-            "function": cfg.label,
+            "function": _label(args),
             "suite": suite,
             "pass": all_pass,
             "reports": [
@@ -465,8 +454,8 @@ def cmd_verify(cfg: RunConfig, args, out) -> int:
 # ---------------------------------------------------------------------------
 # expand
 
-def cmd_expand(cfg: RunConfig, args, out) -> int:
-    entry = _resolve_entry(cfg)
+def cmd_expand(args, out) -> int:
+    entry = _resolve_entry(args)
     if _finite(args.x, "--x") <= 0.0:
         raise CliInputError("--x must be positive")
     if not 0 <= args.q <= 8:
@@ -477,12 +466,12 @@ def cmd_expand(cfg: RunConfig, args, out) -> int:
     main = total - math.fsum(t.value for t in terms)
     header = ["k", "coefficient", "value"]
     rows = [[t.k, t.coefficient, t.value] for t in terms]
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         out.write(_emit_csv(header, rows + [["main", None, main], ["total", None, total]]))
     else:
         out.write(_emit_json({
             "command": "expand",
-            "function": cfg.label,
+            "function": _label(args),
             "x": args.x,
             "q": args.q,
             "m": args.m,
@@ -496,8 +485,8 @@ def cmd_expand(cfg: RunConfig, args, out) -> int:
 # ---------------------------------------------------------------------------
 # tabulate
 
-def cmd_tabulate(cfg: RunConfig, args, out) -> int:
-    entry = _resolve_entry(cfg)
+def cmd_tabulate(args, out) -> int:
+    entry = _resolve_entry(args)
     if _finite(args.step, "--step") <= 0.0:
         raise CliInputError("--step must be positive")
     if _finite(args.start, "--from") <= 0.0:
@@ -515,8 +504,8 @@ def cmd_tabulate(cfg: RunConfig, args, out) -> int:
     worst_over_tol = False
     rows = []
     for x in xs:
-        res = _sigma_point(entry.g, x, cfg.tol)
-        if res.err_estimate > cfg.tol:
+        res = _sigma_point(entry.g, x, args.tol)
+        if res.err_estimate > args.tol:
             worst_over_tol = True
         jval = asymptotics.binet(entry.g, x)
         if with_bounds:
@@ -524,18 +513,18 @@ def cmd_tabulate(cfg: RunConfig, args, out) -> int:
         else:
             alpha = beta = None
         rows.append([x, res.value, jval, alpha, beta])
-    out.write(_emit_rows(cfg, "tabulate", ["x", "sigma", "binet", "alpha", "beta"], rows))
+    out.write(_emit_rows(args, "tabulate", ["x", "sigma", "binet", "alpha", "beta"], rows))
     return EXIT_CONVERGENCE if worst_over_tol else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # catalog
 
-def cmd_catalog(fmt: str, out) -> int:
+def cmd_catalog(args, out) -> int:
     fields = ["name", "p", "shape", "offset", "sigma_closed", "gamma_closed"]
     entries = [[e.name, e.g.p, e.g.shape, e.offset, e.sigma_closed, e.gamma_closed]
                for e in map(builtin, CATALOG_NAMES)]
-    if fmt == "csv":
+    if args.fmt == "csv":
         rows = [["entry", *r, None] for r in entries]
         rows += [["constant", name, None, None, None, None, None, value]
                  for name, value in NAMED_CONSTANTS.items()]
@@ -611,7 +600,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--step", type=float, required=True)
 
     p_cat = sub.add_parser("catalog", help="list catalog entries and constants")
-    p_cat.set_defaults(default_fmt="csv")
+    p_cat.set_defaults(handler=cmd_catalog, default_fmt="csv")
     p_cat.add_argument("--format", choices=["csv", "json"], default=None,
                        dest="fmt")
     return parser
@@ -622,12 +611,14 @@ def run(argv=None, out=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        fmt = args.fmt if args.fmt is not None else args.default_fmt
-        if args.command == "catalog":  # the one subcommand without --fn/--expr
-            return cmd_catalog(fmt, out)
-        cfg = RunConfig(fn=args.fn, expr=args.expr, p=args.p, shape=args.shape,
-                        tol=args.tol, fmt=fmt, seed=args.seed)
-        return args.handler(cfg, args, out)
+        if args.fmt is None:
+            args.fmt = args.default_fmt
+        if args.command != "catalog":  # the one subcommand without --fn/--expr
+            if (args.fn is None) == (args.expr is None):
+                raise CliInputError("exactly one of --fn / --expr is required")
+            if not (math.isfinite(args.tol) and args.tol >= 1e-12):
+                raise CliInputError("--tol must be finite and >= 1e-12")
+        return args.handler(args, out)
     except ValueError as exc:  # CliInputError, ExprError, ShapeError, out-of-range values
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -19,13 +19,12 @@ from itertools import chain
 from operator import neg
 from typing import NamedTuple, Optional, Sequence
 
-from .numerics import gen_binomial, integrate, integrate_singular, zeta_int, \
-    zeta_int_minus_1
+from .numerics import NAMED_CONSTANTS, gen_binomial, integrate, integrate_singular, \
+    zeta_int, zeta_int_minus_1
 from .sigma import GFunction, integral_from_1, sigma
 from .constants import asymptotic_constant
 from .asymptotics import binet
-from .catalog import builtin, named_constant
-from .exprlang import Jet
+from .catalog import builtin
 
 # unique positive zero of the digamma function; gates the Gautschi chain
 GAUTSCHI_X0 = 1.461632144968362
@@ -88,19 +87,12 @@ def _scaled_entry(g: GFunction, m: int) -> GFunction:
     def eval_m(t: float) -> float:
         return g.eval(t / fm)
 
-    jet_m = None
-    if g.jet is not None:
-        def jet_m(x: float, r: int) -> Jet:
-            base = g.jet(x / fm, r)
-            return Jet(center=x,
-                       coeffs=tuple(c / fm ** k for k, c in enumerate(base.coeffs)))
-
     antideriv_m = None
     if g.antideriv is not None:
         def antideriv_m(y: float) -> float:
             return fm * (g.antideriv(y / fm) - g.antideriv(1.0 / fm))
 
-    return GFunction(eval=eval_m, jet=jet_m, antideriv=antideriv_m,
+    return GFunction(eval=eval_m, jet=None, antideriv=antideriv_m,
                      p=g.p, shape=g.shape, name=f"{g.name}(x/{m})")
 
 
@@ -134,8 +126,8 @@ def mult_finite_sum_psi2(m: int) -> tuple[float, float]:
     engine = math.fsum(psi2_value(j / m) for j in range(1, m))
     closed = (
         -math.log(m) / (12.0 * m)
-        + 0.25 * (m - 1) * named_constant("ln_2pi")
-        + (m - 1.0 / m) * named_constant("ln_glaisher")
+        + 0.25 * (m - 1) * NAMED_CONSTANTS["ln_2pi"]
+        + (m - 1.0 / m) * NAMED_CONSTANTS["ln_glaisher"]
     )
     return engine, closed
 
@@ -229,8 +221,8 @@ def reflection_sides_psi2(x: float) -> tuple[float, float]:
         raise ValueError("x must be in (0, 1)")
     lhs = psi2_value(x) - psi2_value(1.0 - x)
     rhs = (
-        x * named_constant("ln_pi")
-        - 0.5 * named_constant("ln_2pi")
+        x * NAMED_CONSTANTS["ln_pi"]
+        - 0.5 * NAMED_CONSTANTS["ln_2pi"]
         - _lnsin_integral(x)
     )
     return lhs, rhs
@@ -249,8 +241,8 @@ def taylor_psi2(x: float) -> float:
     """
     if abs(x) > 0.75:
         raise ValueError("|x| must be <= 0.75")
-    terms = [0.5 * named_constant("ln_2pi"),
-             -0.5 * named_constant("euler_gamma") * x * x]
+    terms = [0.5 * NAMED_CONSTANTS["ln_2pi"],
+             -0.5 * NAMED_CONSTANTS["euler_gamma"] * x * x]
     for n in range(3, _TAYLOR_TERMS + 1):
         terms.append((-1.0) ** (n - 1) * zeta_int(n - 1) / (n * (n - 1)) * x ** n)
     return math.fsum(terms)
@@ -259,10 +251,10 @@ def taylor_psi2(x: float) -> float:
 def euler_series_closed() -> float:
     """gamma/6 - 3/4 + ln(2 pi)/4 + ln A, from the named constants."""
     return (
-        named_constant("euler_gamma") / 6.0
+        NAMED_CONSTANTS["euler_gamma"] / 6.0
         - 0.75
-        + 0.25 * named_constant("ln_2pi")
-        + named_constant("ln_glaisher")
+        + 0.25 * NAMED_CONSTANTS["ln_2pi"]
+        + NAMED_CONSTANTS["ln_glaisher"]
     )
 
 
@@ -386,8 +378,8 @@ def bounds_alpha_beta(x: float) -> tuple[float, float]:
     """Closed-form envelope (alpha(x), beta(x)) with alpha <= psi_-2 <= beta."""
     if x <= 0.0:
         raise ValueError("x must be positive")
-    ln_a = named_constant("ln_glaisher")
-    ln_2pi = named_constant("ln_2pi")
+    ln_a = NAMED_CONSTANTS["ln_glaisher"]
+    ln_2pi = NAMED_CONSTANTS["ln_2pi"]
     alpha = math.fsum([
         ln_a,
         -5.0 / 18.0,

@@ -1,8 +1,9 @@
 """Shared numeric kernels.
 
-Generalized binomials, forward and divided differences, Gregory
-coefficients and the terms of Gregory's formula, Bernoulli numbers,
-integer zeta values, and adaptive quadrature.
+Generalized binomials, forward and divided differences, the terms of
+Gregory's formula, Bernoulli numbers, integer zeta values, and adaptive
+quadrature.  The Gregory coefficients and Bernoulli numbers are literal
+tables; the exact rationals they round live in tests/reference.py.
 Everything here is scalar, pure, and deterministic.
 """
 
@@ -11,10 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Callable, NamedTuple, Sequence
 
 # the named constants of the catalog and of the expression language
 NAMED_CONSTANTS = {
@@ -81,8 +79,8 @@ def divided_difference(f: Callable[[float], float], nodes: Sequence[float]) -> f
     return vals[0]
 
 
-# G_1 .. G_30 and B_0 .. B_30, each the float nearest the exact rational that
-# _gregory_fraction or _bernoulli_fraction builds (the tests pin the two together)
+# G_1 .. G_30 and B_0 .. B_30, each the float nearest its exact rational
+# (tests/reference.py builds the rationals; the tests pin the two together)
 _GREGORY = (0.5, -0.08333333333333333, 0.041666666666666664, -0.02638888888888889,
             0.01875, -0.014269179894179895, 0.01136739417989418, -0.00935653659611993,
             0.00789255401234568, -0.006785849984634707, 0.005924056412337663,
@@ -101,46 +99,13 @@ _BERNOULLI = (1.0, -0.5, 0.16666666666666666, 0.0, -0.03333333333333333, 0.0,
               0.0, 601580873.9006424)
 
 
-@lru_cache(maxsize=None)
-def _gregory_fraction(j: int) -> Fraction:
-    # G_j = (1/j!) * integral_0^1 t(t-1)...(t-j+1) dt, done in exact rationals
-    from fractions import Fraction
-    poly = [Fraction(1)]
-    for i in range(j):
-        shifted = [Fraction(0)] + poly
-        for k, c in enumerate(poly):
-            shifted[k] -= c * i
-        poly = shifted
-    total = sum(c / (k + 1) for k, c in enumerate(poly))
-    return total / math.factorial(j)
-
-
-def gregory_coeff(j: int) -> float:
-    """Gregory coefficient G_j = integral_0^1 C(t, j) dt.
-
-    A stored literal: the float nearest the exact rational G_j of
-    gregory_coeff_fraction (polynomial expansion of the falling factorial,
-    term-by-term integration); exactness avoids the cancellation that
-    kills a naive float recurrence past j ~ 15.
-    """
-    if j < 1 or j > 30:
-        raise ValueError("Gregory coefficient order must be in 1..30")
-    return _GREGORY[j - 1]
-
-
-def gregory_coeff_fraction(j: int) -> Fraction:
-    """Exact rational value of the Gregory coefficient G_j."""
-    if j < 1 or j > 30:
-        raise ValueError("Gregory coefficient order must be in 1..30")
-    return _gregory_fraction(j)
-
-
 def gregory_terms(f: Callable[[float], float], x: float, J: int) -> list[float]:
     """The J Gregory terms G_n Delta^{n-1} f(x), n = 1..J.
 
-    Their sum is the head of Gregory's formula; the differences come from
-    the one window f(x), ..., f(x+J-1), so the head costs J evaluations;
-    J > 30 raises ValueError.
+    G_n = integral_0^1 C(t, n) dt is a stored literal, the float nearest
+    the exact rational.  The sum of the terms is the head of Gregory's
+    formula; the differences come from the one window f(x), ...,
+    f(x+J-1), so the head costs J evaluations; J > 30 raises ValueError.
     """
     if J > 30:
         raise ValueError("Gregory coefficient order must be in 1..30")
@@ -148,34 +113,15 @@ def gregory_terms(f: Callable[[float], float], x: float, J: int) -> list[float]:
     return [c * d for c, d in zip(_GREGORY, diffs)]
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_fraction(k: int) -> Fraction:
-    from fractions import Fraction
-    if k == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for j in range(k):
-        acc += math.comb(k + 1, j) * _bernoulli_fraction(j)
-    return -acc / (k + 1)
-
-
 def bernoulli_number(k: int) -> float:
     """Bernoulli number B_k in the B_1 = -1/2 convention.
 
-    A stored literal: the float nearest the exact rational B_k of
-    bernoulli_fraction (the recurrence sum_{j<=k} C(k+1, j) B_j = 0).
-    B_k = 0 for odd k >= 3.
+    A stored literal: the float nearest the exact rational B_k (the
+    recurrence sum_{j<=k} C(k+1, j) B_j = 0).  B_k = 0 for odd k >= 3.
     """
     if k < 0 or k > 30:
         raise ValueError("Bernoulli index must be in 0..30")
     return _BERNOULLI[k]
-
-
-def bernoulli_fraction(k: int) -> Fraction:
-    """Exact rational value of the Bernoulli number B_k."""
-    if k < 0 or k > 30:
-        raise ValueError("Bernoulli index must be in 0..30")
-    return _bernoulli_fraction(k)
 
 
 @lru_cache(maxsize=None)

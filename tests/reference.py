@@ -10,7 +10,8 @@ the Bernoulli-kernel integrals of the x ln x family, the raw zeta series,
 the printer that round-trips an expression tree), live here so that every
 public function of the package has one path.  They are routes the package
 itself never takes; keeping them apart from it is what makes them
-independent.
+independent.  So are the exact rationals G_n and B_k that the package's
+literal coefficient tables round.
 
 Tests import this module as they import _frozen: tests/ has no
 __init__.py, so pytest puts the directory on sys.path.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from indefsum.catalog import builtin, reference_digamma
@@ -32,6 +34,38 @@ from indefsum.identities import GAUTSCHI_X0, ResidualReport, _chain_violation, \
 from indefsum.numerics import NAMED_CONSTANTS, forward_diffs, gen_binomial, \
     gregory_terms, integrate, zeta_int
 from indefsum.sigma import GFunction, SigmaResult, integral_from_1, sigma
+
+
+# ---------------------------------------------------------------------------
+# exact coefficients
+
+@functools.cache
+def gregory_fraction(j: int) -> Fraction:
+    """Gregory coefficient G_j = integral_0^1 C(t, j) dt as an exact rational.
+
+    Expands the falling factorial t(t-1)...(t-j+1) and integrates term by
+    term; exactness avoids the cancellation that kills a naive float
+    recurrence past j ~ 15.
+    """
+    poly = [Fraction(1)]
+    for i in range(j):
+        shifted = [Fraction(0)] + poly
+        for k, c in enumerate(poly):
+            shifted[k] -= c * i
+        poly = shifted
+    total = sum(c / (k + 1) for k, c in enumerate(poly))
+    return total / math.factorial(j)
+
+
+@functools.cache
+def bernoulli_fraction(k: int) -> Fraction:
+    """Bernoulli number B_k (B_1 = -1/2) from sum_{j<=k} C(k+1, j) B_j = 0, exactly."""
+    if k == 0:
+        return Fraction(1)
+    acc = Fraction(0)
+    for j in range(k):
+        acc += math.comb(k + 1, j) * bernoulli_fraction(j)
+    return -acc / (k + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,17 @@ import random
 
 import pytest
 
+from indefsum import catalog
 from indefsum.catalog import (
     CATALOG_NAMES,
     builtin,
     from_expression,
-    named_constant,
     reference_digamma,
     reference_lgamma,
     reference_psi2,
 )
 from indefsum.exprlang import ExprSyntaxError
+from indefsum.numerics import NAMED_CONSTANTS
 from indefsum.sigma import sigma
 
 from _frozen import (
@@ -45,14 +46,22 @@ def test_catalog_names_and_identity():
         builtin("gamma")
 
 
+def test_catalog_public_names_are_pinned():
+    # each entry is one row of one table; the named constants live in numerics alone
+    public = sorted(
+        name for name, obj in vars(catalog).items()
+        if not name.startswith("_") and callable(obj)
+        and getattr(obj, "__module__", None) == catalog.__name__
+    )
+    assert public == ["CatalogEntry", "builtin", "from_expression", "reference_digamma",
+                      "reference_lgamma", "reference_psi2"]
+
+
 def test_named_constants():
-    assert named_constant("euler_gamma") == EULER_GAMMA
-    assert named_constant("ln_glaisher") == LN_GLAISHER
-    assert named_constant("ln_2pi") == LN_2PI
-    assert named_constant("ln_pi") == LN_PI
-    assert named_constant("ln_2") == LN_2
-    with pytest.raises(KeyError):
-        named_constant("feigenbaum")
+    # in the order `indefsum catalog` lists them
+    assert list(NAMED_CONSTANTS.items()) == [
+        ("euler_gamma", EULER_GAMMA), ("ln_glaisher", LN_GLAISHER), ("ln_2pi", LN_2PI),
+        ("ln_pi", LN_PI), ("ln_2", LN_2)]
 
 
 def test_entry_metadata(all_entries):

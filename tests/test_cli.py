@@ -201,8 +201,8 @@ def test_verify_mult_subgrid(schema):
 
 
 def test_verify_every_suite_reports(monkeypatch):
-    entry = cli._resolve_entry(cli.RunConfig(fn="psi2g", expr=None, p=None, shape=None,
-                                             tol=1e-9, fmt="json", seed=0))
+    entry = cli._resolve_entry(argparse.Namespace(fn="psi2g", expr=None, p=None,
+                                                  shape=None, seed=0))
     for name, (runner, _, _) in cli._SUITES.items():
         assert runner(entry, None, None), name
     # a suite that checks nothing is a failure, not a pass

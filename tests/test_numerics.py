@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 from indefsum import numerics
 from indefsum.numerics import (
     QuadratureError,
-    bernoulli_fraction,
     bernoulli_number,
     divided_difference,
     forward_diffs,
     gen_binomial,
-    gregory_coeff,
-    gregory_coeff_fraction,
     gregory_terms,
     integrate,
     integrate_singular,
@@ -26,7 +23,22 @@ from indefsum.numerics import (
 )
 
 from _frozen import ZETA_2, ZETA_3, psi2_integrand
-from reference import interp_poly_eval, richardson_extrapolate
+from reference import bernoulli_fraction, gregory_fraction, interp_poly_eval, \
+    richardson_extrapolate
+
+
+def test_numerics_public_names_are_pinned():
+    # one accessor per value: the coefficient tables are read through gregory_terms
+    # and bernoulli_number; their exact rationals live in tests/reference.py
+    public = sorted(
+        name for name, obj in vars(numerics).items()
+        if not name.startswith("_") and callable(obj)
+        and getattr(obj, "__module__", None) == numerics.__name__
+    )
+    assert public == [
+        "QuadResult", "QuadratureError", "bernoulli_number", "divided_difference",
+        "forward_diffs", "gen_binomial", "gregory_terms", "integrate",
+        "integrate_singular", "zeta_int", "zeta_int_minus_1"]
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +130,14 @@ def test_forward_diffs_bit_identical_to_textbook_recurrence():
 # Gregory coefficients and Bernoulli numbers
 
 def test_gregory_first_values():
-    assert gregory_coeff(1) == pytest.approx(0.5, abs=1e-16)
-    assert gregory_coeff(2) == pytest.approx(-1.0 / 12.0, abs=1e-16)
-    assert gregory_coeff(4) == pytest.approx(-19.0 / 720.0, abs=1e-16)
-    assert gregory_coeff_fraction(3) == Fraction(1, 24)
-    assert gregory_coeff_fraction(5) == Fraction(3, 160)
-    assert gregory_coeff_fraction(6) == Fraction(-863, 60480)
+    assert numerics._GREGORY[:4] == (0.5, -1.0 / 12.0, 1.0 / 24.0, -19.0 / 720.0)
+    assert gregory_fraction(3) == Fraction(1, 24)
+    assert gregory_fraction(5) == Fraction(3, 160)
+    assert gregory_fraction(6) == Fraction(-863, 60480)
 
 
 def test_gregory_signs_alternate_and_magnitudes_decrease():
-    vals = [gregory_coeff(j) for j in range(1, 31)]
+    vals = numerics._GREGORY
     for i, v in enumerate(vals):
         expected_sign = 1.0 if i % 2 == 0 else -1.0
         assert math.copysign(1.0, v) == expected_sign
@@ -137,7 +147,7 @@ def test_gregory_signs_alternate_and_magnitudes_decrease():
 
 def test_coefficient_tables_are_the_exact_rationals_rounded():
     # the engine reads G_1..G_30 and B_0..B_30 from literals, never from the builders
-    assert numerics._GREGORY == tuple(float(gregory_coeff_fraction(j)) for j in range(1, 31))
+    assert numerics._GREGORY == tuple(float(gregory_fraction(j)) for j in range(1, 31))
     assert numerics._BERNOULLI == tuple(float(bernoulli_fraction(k)) for k in range(31))
 
 
@@ -145,7 +155,7 @@ def test_coefficient_tables_are_the_exact_rationals_rounded():
 def test_gregory_terms_bit_identical_to_exact_coefficients(J):
     x = 3.7
     diffs = _textbook_diffs([math.log(x + i) for i in range(J)])
-    expected = [float(gregory_coeff_fraction(n)) * d for n, d in enumerate(diffs, 1)]
+    expected = [float(gregory_fraction(n)) * d for n, d in enumerate(diffs, 1)]
     assert gregory_terms(math.log, x, J) == expected
 
 
@@ -158,7 +168,7 @@ def test_gregory_terms_order_range():
 def test_gregory_coefficient_is_binomial_moment():
     # G_5 = integral_0^1 C(t, 5) dt
     res = integrate(lambda t: gen_binomial(t, 5), 0.0, 1.0, 1e-13)
-    assert res.value == pytest.approx(gregory_coeff(5), abs=1e-13)
+    assert res.value == pytest.approx(float(gregory_fraction(5)), abs=1e-13)
 
 
 def test_bernoulli_values():

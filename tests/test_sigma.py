@@ -365,11 +365,33 @@ def test_sigma_deriv_strategies_agree(ln_entry):
     assert a == pytest.approx(b, abs=1e-9)
 
 
-def test_sigma_deriv_matches_central_difference(ln_entry):
-    g = ln_entry.g
-    x, h = 2.3, 1e-4
-    central = (sigma(g, x + h).value - sigma(g, x - h).value) / (2.0 * h)
-    assert sigma_deriv(g, x, 1).value == pytest.approx(central, rel=1e-6)
+def test_sigma_deriv_matches_central_difference():
+    h = 1e-4
+    for name in CATALOG_NAMES + tuple(EXPRESSIONS):
+        g = builtin(name).g if name in CATALOG_NAMES else expression_g(name)
+        for x in (0.7, 2.3, 41.0):
+            central = (sigma(g, x + h).value - sigma(g, x - h).value) / (2.0 * h)
+            assert sigma_deriv(g, x, 1).value == pytest.approx(central, rel=1e-6), (name, x)
+
+
+# D^r ln Gamma = psi^(r-1): five terms of the asymptotic series of the trigamma,
+# tetragamma and pentagamma functions as (coefficient, power of 1/x); the first
+# omitted term is below 1e-30 relative at x = 1e4
+_POLYGAMMA_SERIES = {
+    2: ((1.0, 1), (0.5, 2), (1.0 / 6.0, 3), (-1.0 / 30.0, 5), (1.0 / 42.0, 7)),
+    3: ((-1.0, 2), (-1.0, 3), (-0.5, 4), (1.0 / 6.0, 6), (-1.0 / 6.0, 8)),
+    4: ((2.0, 3), (3.0, 4), (2.0, 5), (-1.0, 7), (4.0 / 3.0, 9)),
+}
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_sigma_deriv_relative_accuracy_at_large_x(ln_entry, r):
+    # the termwise form keeps full relative accuracy where D^r Sigma ln is tiny
+    # (2e-12 for r = 4 at x = 1e4); a route through sigma() would lose it to
+    # the cancellation of O(1) terms
+    x = 1e4
+    want = math.fsum(c * x ** -k for c, k in _POLYGAMMA_SERIES[r])
+    assert sigma_deriv(ln_entry.g, x, r).value == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_sigma_deriv_validation(ln_entry):
