@@ -13,7 +13,9 @@ indent runs the pure-Python encoder.  The argparse tree is built once per
 process and reused by every run() call.  Each subparser names its handler
 cmd_*(args, out) and its default format; one table, _SUITES, gives
 each verify suite its runner, the grid flags it reads and whether it
-needs --fn psi2g.
+needs --fn psi2g.  A runner holds its default grids and tolerances and
+takes each report from an identities builder, which makes every
+residual and refuses one that is not finite.
 """
 
 from __future__ import annotations
@@ -230,16 +232,10 @@ def cmd_constants(args, out) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _sides_report(identity: str, points: list, sides: list, tol: float):
-    # one (report, tol) pair whose residuals are lhs - rhs of each (lhs, rhs)
-    residuals = [lhs - rhs for lhs, rhs in sides]
-    return identities.make_report(identity, points, residuals, [list(s) for s in sides]), tol
-
-
 def _suite_raabe(entry, ms, xs):
     xs = xs or [0.5, 1.0, 2.0, 5.0, 10.0]
     sides = [identities.raabe_sides(entry.g, x) for x in xs]
-    return [_sides_report("raabe", xs, sides, 1e-7)]
+    return [(identities.sides_report("raabe", xs, sides), 1e-7)]
 
 
 def _suite_mult(entry, ms, xs):
@@ -247,70 +243,44 @@ def _suite_mult(entry, ms, xs):
     xs = xs or [0.3, 1.0, 2.7, 8.0]
     points = [[m, x] for m in ms for x in xs]
     sides = [s for m in ms for s in identities.mult_sides(entry.g, m, xs)]
-    reports = [_sides_report("mult", points, sides, 1e-7)]
+    reports = [(identities.sides_report("mult", points, sides), 1e-7)]
     finite = [m for m in ms if m >= 2]
     if entry.name == "psi2g" and finite:
         sides = [identities.mult_finite_sum_psi2(m) for m in finite]
-        reports.append(_sides_report("mult-finite-sum", finite, sides, 1e-7))
+        reports.append((identities.sides_report("mult-finite-sum", finite, sides), 1e-7))
     return reports
 
 
 def _suite_wendel(entry, ms, xs):
-    reports = []
-    a_grid = [0.25, 0.5, 0.75]
-    if entry.name == "ln":
-        xs = xs or [1.0, 10.0, 100.0]
-        points, residuals, sides = [], [], []
-        for a in a_grid:
-            for x in xs:
-                w = sigma(entry.g, x + a).value - sigma(entry.g, x).value \
-                    - a * math.log(x)
-                lo = (a - 1.0) * math.log1p(a / x)
-                viol = max(0.0, lo - w, w - 0.0) / max(1.0, abs(lo))
-                points.append([a, x])
-                residuals.append(viol)
-                sides.append([lo, w, 0.0])
-        reports.append((identities.make_report("wendel-bracket", points, residuals,
-                                               sides), 1e-9))
-        tail = [sigma(entry.g, 1e4 + a).value - sigma(entry.g, 1e4).value
-                - a * math.log(1e4) for a in a_grid]
-        reports.append((identities.make_report("wendel-tail", a_grid, tail), 1e-4))
-    else:
+    if entry.name != "ln":
         xs = xs or [16.0, 64.0, 256.0]
         rows = [([a], [abs(asymptotics.wendel_residual(entry.g, a, x)) for x in xs])
                 for a in (0.25, 1.5, 3.0)]
-        reports.append(_decay_report("wendel-decay", xs, rows))
-    return reports
-
-
-def _decay_report(identity, xs, rows):
-    # each row (point prefix, |f(x)| for x in xs) should not grow from one x to the
-    # next; max(0.0, nan) is 0.0, and these reports have no sides to catch a NaN
-    points, residuals = [], []
-    for prefix, mags in rows:
-        if not all(math.isfinite(v) for v in mags):
-            raise ArithmeticError(f"{identity}: a magnitude is not finite")
-        for i in range(len(mags) - 1):
-            points.append([*prefix, xs[i], xs[i + 1]])
-            residuals.append(max(0.0, mags[i + 1] - mags[i]))
-    return identities.make_report(identity, points, residuals), 1e-9
+        return [(identities.decay_report("wendel-decay", xs, rows), 1e-9)]
+    xs = xs or [1.0, 10.0, 100.0]
+    a_grid = [0.25, 0.5, 0.75]
+    # (a - 1) ln(1 + a/x) <= Sigma ln(x + a) - Sigma ln(x) - a ln x <= 0
+    points = [[a, x] for a in a_grid for x in xs]
+    chains = []
+    for a, x in points:
+        w = sigma(entry.g, x + a).value - sigma(entry.g, x).value - a * math.log(x)
+        chains.append([(a - 1.0) * math.log1p(a / x), w, 0.0])
+    bracket = identities.chain_report("wendel-bracket", points, chains)
+    tail = [sigma(entry.g, 1e4 + a).value - sigma(entry.g, 1e4).value - a * math.log(1e4)
+            for a in a_grid]
+    return [(bracket, 1e-9), (identities.make_report("wendel-tail", a_grid, tail), 1e-4)]
 
 
 def _suite_stirling(entry, ms, xs):
     if entry.name == "psi2g":
         xs = xs or [25.0, 50.0, 100.0]
-        points, residuals, sides = [], [], []
-        for x in xs:
-            rem = asymptotics.expansion_remainder(entry.g, x)
-            bound = 1.1 / (720.0 * x * x)
-            points.append(x)
-            residuals.append(max(0.0, abs(rem) - bound))
-            sides.append([abs(rem), bound])
-        return [(identities.make_report("stirling-bound", points, residuals, sides),
-                 1e-9)]
+        # |remainder of the asymptotic expansion at x| <= 1.1/(720 x^2)
+        chains = [[abs(asymptotics.expansion_remainder(entry.g, x)), 1.1 / (720.0 * x * x)]
+                  for x in xs]
+        return [(identities.chain_report("stirling-bound", xs, chains), 1e-9)]
     xs = xs or [10.0, 100.0, 1000.0]
-    return [_decay_report("stirling-decay", xs,
-                          [([], [abs(asymptotics.binet(entry.g, x)) for x in xs])])]
+    rows = [([], [abs(asymptotics.binet(entry.g, x)) for x in xs])]
+    return [(identities.decay_report("stirling-decay", xs, rows), 1e-9)]
 
 
 def _suite_webster(entry, ms, xs):
@@ -318,54 +288,46 @@ def _suite_webster(entry, ms, xs):
     xs = xs or [0.7, 1.0, 2.0]
     points = [[m, x] for m in ms for x in xs]
     sides = [identities.webster_sides(m, x) for m, x in points]
-    return [_sides_report("webster", points, sides, 1e-7)]
+    return [(identities.sides_report("webster", points, sides), 1e-7)]
 
 
 def _suite_wallis(entry, ms, xs):
     first, second = identities.wallis_extrapolated()
     lim1 = NAMED_CONSTANTS["ln_2"] / 12.0 - 3.0 * NAMED_CONSTANTS["ln_glaisher"]
     lim2 = NAMED_CONSTANTS["ln_glaisher"] - NAMED_CONSTANTS["ln_2"] / 12.0
-    return [_sides_report("wallis", ["first", "second"], [(first, lim1), (second, lim2)],
-                          1e-9)]
+    return [(identities.sides_report("wallis", ["first", "second"],
+                                     [(first, lim1), (second, lim2)]), 1e-9)]
 
 
 def _suite_reflection(entry, ms, xs):
     xs = xs or [0.1, 0.25, 0.5, 0.75, 0.9]
     sides = [identities.reflection_sides_psi2(x) for x in xs]
-    return [_sides_report("reflection", xs, sides, 1e-7)]
+    return [(identities.sides_report("reflection", xs, sides), 1e-7)]
 
 
 def _suite_taylor(entry, ms, xs):
     xs = xs or [-0.5, -0.25, 0.25, 0.5]
     sides = [(identities.taylor_psi2(x), identities.psi2_value(1.0 + x)) for x in xs]
-    return [_sides_report("taylor", xs, sides, 1e-9)]
+    return [(identities.sides_report("taylor", xs, sides), 1e-9)]
 
 
 def _suite_euler_series(entry, ms, xs):
     sides = [(identities.euler_series_analogue(50), identities.euler_series_closed())]
-    return [_sides_report("euler-series", [50], sides, 1e-12)]
+    return [(identities.sides_report("euler-series", [50], sides), 1e-12)]
 
 
 def _suite_inequalities(entry, ms, xs):
-    reports = []
-    rep = identities.inequality_chains_psi2([0.25 * i for i in range(1, 21)],
-                                            [0.25 * j for j in range(10)])
-    reports.append((rep._replace(identity="inequality-chains"), 1e-9))
+    inequalities = identities.inequality_chains_psi2([0.25 * i for i in range(1, 21)],
+                                                     [0.25 * j for j in range(10)])
+    # alpha(x) <= psi_-2(x) <= beta(x)
     grid = [0.1 * k for k in range(1, 51)] + [10.0, 20.0, 35.0, 50.0]
-    pts, res, sd = [], [], []
-    for x in grid:
-        alpha, beta = identities.bounds_alpha_beta(x)
-        value = identities.psi2_value(x)
-        scale = max(1.0, abs(alpha), abs(beta))
-        pts.append(x)
-        res.append(max(0.0, alpha - value, value - beta) / scale)
-        sd.append([alpha, value, beta])
-    reports.append((identities.make_report("alpha-beta-bounds", pts, res, sd), 1e-9))
+    bounds = [[alpha, identities.psi2_value(x), beta]
+              for x, (alpha, beta) in zip(grid, map(identities.bounds_alpha_beta, grid))]
     sup = identities.alpha_beta_sup_gap()
     target = (3.0 * NAMED_CONSTANTS["ln_2"] - 1.0) / 18.0
-    reports.append((identities.make_report("alpha-beta-sup-gap", ["sup"],
-                                           [sup - target], [[sup, target]]), 1e-3))
-    return reports
+    return [(inequalities, 1e-9),
+            (identities.chain_report("alpha-beta-bounds", grid, bounds), 1e-9),
+            (identities.sides_report("alpha-beta-sup-gap", ["sup"], [(sup, target)]), 1e-3)]
 
 
 # suite name -> (runner(entry, ms, xs) returning (report, tol) pairs, the grid
@@ -405,13 +367,6 @@ def cmd_verify(args, out) -> int:
     collected = []
     for name in wanted:
         collected += _SUITES[name][0](entry, ms, xs)
-    # max(0.0, nan) is 0.0, so a NaN side can hide behind a finite residual
-    for rep, _ in collected:
-        if not all(math.isfinite(r) for r in rep.residuals):
-            raise ArithmeticError(f"{rep.identity}: a residual is not finite")
-        if rep.sides is not None and not all(math.isfinite(v) for side in rep.sides
-                                             for v in side):
-            raise ArithmeticError(f"{rep.identity}: a side is not finite")
     # a suite that checked nothing is not a pass
     all_pass = bool(collected) and all(rep.max_abs <= tol for rep, tol in collected)
     if args.fmt == "json":

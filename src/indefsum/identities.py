@@ -1,14 +1,15 @@
-"""Residual evaluators for the identity and inequality families.
+"""Residual reports for the identity and inequality families.
 
-Each function evaluates both sides of one displayed identity with the
-engine and returns them as (lhs, rhs), whose difference the caller takes
-as the residual, or a residual report where a chain of inequalities
-needs one.  The psi_-2 specializations fix g(x) = x ln x - x +
-ln(2 pi)/2 and compare the normalized Sigma g plus its offset against
-closed forms built from the named constants.  The inequality chains
-take a whole (x, a) grid at once (inequality_chains_psi2), so that each
-engine point they share is evaluated once per call; nothing is cached
-beyond the call.
+The evaluators compute both sides of a displayed identity with the engine.
+Every residual comes from one of three builders: sides_report (lhs - rhs),
+chain_report (the scaled ordering violation of a <= chain) and
+decay_report (the growth of a magnitude from one x to the next); under
+all three, make_report refuses a residual or a side that is not finite.
+The psi_-2 specializations fix g(x) = x ln x - x + ln(2 pi)/2 and compare
+the normalized Sigma g plus its offset against closed forms built from the
+named constants.  inequality_chains_psi2 takes a whole (x, a) grid at once,
+so that each engine point it shares is evaluated once per call; nothing is
+cached beyond the call.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ class ResidualReport(NamedTuple):
     """One identity's evaluation grid with residuals.
 
     points and residuals are parallel lists; max_abs is the largest
-    |residual|.  sides, when present, carries (lhs, rhs) pairs for
-    log-level debugging of failures.
+    |residual|.  sides, when present, holds the (lhs, rhs) pair or the
+    chain behind each residual.
     """
 
     identity: str
@@ -49,9 +50,47 @@ def make_report(identity: str, points: list, residuals: list[float],
                 sides: Optional[list] = None) -> ResidualReport:
     if len(points) != len(residuals):
         raise ValueError("points and residuals must have equal length")
+    # max(0.0, nan) is 0.0, so a NaN side can hide behind a finite residual
+    if not all(map(math.isfinite, residuals)):
+        raise ArithmeticError(f"{identity}: a residual is not finite")
+    if sides is not None and not all(map(math.isfinite, chain.from_iterable(sides))):
+        raise ArithmeticError(f"{identity}: a side is not finite")
     max_abs = max((abs(r) for r in residuals), default=0.0)
     return ResidualReport(identity=identity, points=points, residuals=residuals,
                           max_abs=max_abs, sides=sides)
+
+
+def sides_report(identity: str, points: list, sides: list) -> ResidualReport:
+    """Residual lhs - rhs of each (lhs, rhs) pair; each side a list of its own."""
+    return make_report(identity, points, [lhs - rhs for lhs, rhs in sides],
+                       [list(s) for s in sides])
+
+
+def _chain_violation(members: Sequence[float]) -> float:
+    """Largest ordering violation of a <= chain over max(1, |member|); 0.0 if empty."""
+    scale = max([1.0, *map(abs, members)])
+    worst = max((a - b for a, b in zip(members, members[1:])), default=0.0)
+    return max(0.0, worst) / scale
+
+
+def chain_report(identity: str, points: list, chains: list) -> ResidualReport:
+    """Residual _chain_violation of each chain; the chains are the sides."""
+    return make_report(identity, points, list(map(_chain_violation, chains)), chains)
+
+
+def decay_report(identity: str, xs: Sequence[float], rows: list) -> ResidualReport:
+    """Residual max(0, |f(x')| - |f(x)|) for each step x -> x' of xs, row by row.
+
+    Each row is (point prefix, |f(x)| for x in xs).  The report has no sides,
+    so a magnitude that is not finite (it reads as a 0.0 residual) is refused.
+    """
+    points, residuals = [], []
+    for prefix, mags in rows:
+        if not all(map(math.isfinite, mags)):
+            raise ArithmeticError(f"{identity}: a magnitude is not finite")
+        points += [[*prefix, x, x2] for x, x2 in zip(xs, xs[1:])]
+        residuals += [max(0.0, m2 - m) for m, m2 in zip(mags, mags[1:])]
+    return make_report(identity, points, residuals)
 
 
 def psi2_value(x: float) -> float:
@@ -280,26 +319,15 @@ def euler_series_analogue(N: int) -> float:
 # ---------------------------------------------------------------------------
 # Inequality chains
 
-def _chain_violation(members: list[float]) -> float:
-    """Largest ordering violation of a <= chain, normalized by member scale."""
-    scale = max(1.0, max(abs(v) for v in members))
-    worst = max(
-        (members[i] - members[i + 1] for i in range(len(members) - 1)),
-        default=0.0,
-    )
-    return max(0.0, worst) / scale
-
-
 def inequality_chains_psi2(xs: list[float], a_grid: list[float]) -> ResidualReport:
-    """Evaluate the four displayed inequality chains on every (x, a), x-major.
+    """The four displayed inequality chains on every (x, a), x-major, as one chain_report.
 
-    Residuals are normalized ordering violations (0 when the chain
-    holds).  The Gautschi chain is reported as not-applicable when
-    x + floor(a) < x_0.  The terms that depend on a alone are computed
-    once per a, those that depend on x alone (g, its differences, psi_-2
-    and the Stirling-based chain) once per x, and a table local to the
-    call evaluates each distinct psi_-2 and ln Gamma point once; each
-    sides entry is a list of its own.
+    The Gautschi chain is reported as not-applicable, an empty chain,
+    when x + floor(a) < x_0.  The terms that depend on a alone are
+    computed once per a, those that depend on x alone (g, its
+    differences, psi_-2 and the Stirling-based chain) once per x, and a
+    table local to the call evaluates each distinct psi_-2 and ln Gamma
+    point once; each chain is a list of its own.
     """
     if any(x <= 0.0 for x in xs) or any(a < 0.0 for a in a_grid):
         raise ValueError("require x > 0 and a >= 0")
@@ -320,8 +348,7 @@ def inequality_chains_psi2(xs: list[float], a_grid: list[float]) -> ResidualRepo
                       gen_binomial(fr, 2)))
 
     points = []
-    residuals = []
-    sides = []
+    chains = []
     for x in xs if per_a else ():  # an empty a-grid evaluates nothing
         gx, dgx, d2gx, psi2x = g(x), dg(x), d2g(x), psi2(x)
         # Stirling-based: 0 <= -J^3[Sigma g](x)
@@ -331,47 +358,35 @@ def inequality_chains_psi2(xs: list[float], a_grid: list[float]) -> ResidualRepo
                     integrate(lambda t: 0.5 * (t - 1.0) * (t - 2.0) * (dg(x + t) - dgx),
                               0.0, 1.0, tol=1e-11).value,
                     (5.0 / 12.0) * d2gx)
-        stirling_violation = _chain_violation(stirling)
         for a, sgn, c_a2, c_a12, fa, ca, fr, c_fr2 in per_a:
             # Wendel: 0 <= sign(a(a-1)(a-2)) (psi(x+a) - psi(x) - a g(x) - C(a,2) dg(x))
             #           <= |C(a-1,2)| (dg(x+a) - dg(x)) <= ceil(a) |C(a-1,2)| d2g(x)
             xa = x + a
             at_xa = psi2(xa)  # shared by the Wendel and Gautschi chains
-            chain = [0.0, sgn * (at_xa - psi2x - a * gx - c_a2 * dgx),
-                     c_a12 * (dg(xa) - dgx), ca * c_a12 * d2gx]
-            points.append(("wendel", x, a, "checked"))
-            residuals.append(_chain_violation(chain))
-            sides.append(chain)
+            wendel = [0.0, sgn * (at_xa - psi2x - a * gx - c_a2 * dgx),
+                      c_a12 * (dg(xa) - dgx), ca * c_a12 * d2gx]
 
             # Webster: 0 <= psi(x+a+1) - psi(x+floor(a)+1) - {a} g(x+floor(a)+1)
             #               - C({a},2) dg(x+floor(a)+1)
             #            <= ({a}/2)(g(x+a) - g(x+floor(a)+1) - ({a}-1) dg(x+floor(a)+1))
             base = x + fa + 1.0
             g_base, dg_base = g(base), dg(base)
-            chain = [0.0, psi2(xa + 1.0) - psi2(base) - fr * g_base - c_fr2 * dg_base,
-                     0.5 * fr * (g(xa) - g_base - (fr - 1.0) * dg_base)]
-            points.append(("webster", x, a, "checked"))
-            residuals.append(_chain_violation(chain))
-            sides.append(chain)
+            webster = [0.0, psi2(xa + 1.0) - psi2(base) - fr * g_base - c_fr2 * dg_base,
+                       0.5 * fr * (g(xa) - g_base - (fr - 1.0) * dg_base)]
 
             # Gautschi: (a - ceil(a)) ln Gamma(x + ceil(a)) <= psi(x+a) - psi(x+ceil(a))
             #             <= (a - ceil(a)) g(x + floor(a)),  when x + floor(a) >= x_0
+            gautschi = []
             if x + fa >= GAUTSCHI_X0:
-                chain = [(a - ca) * lngamma(x + ca), at_xa - psi2(x + ca),
-                         (a - ca) * g(x + fa)]
-                points.append(("gautschi", x, a, "checked"))
-                residuals.append(_chain_violation(chain))
-                sides.append(chain)
-            else:
-                points.append(("gautschi", x, a, "not-applicable"))
-                residuals.append(0.0)
-                sides.append([])
+                gautschi = [(a - ca) * lngamma(x + ca), at_xa - psi2(x + ca),
+                            (a - ca) * g(x + fa)]
 
-            points.append(("stirling", x, a, "checked"))
-            residuals.append(stirling_violation)
-            sides.append(list(stirling))
+            points += [("wendel", x, a, "checked"), ("webster", x, a, "checked"),
+                       ("gautschi", x, a, "checked" if gautschi else "not-applicable"),
+                       ("stirling", x, a, "checked")]
+            chains += [wendel, webster, gautschi, list(stirling)]
 
-    return make_report("inequalities-psi2", points, residuals, sides)
+    return chain_report("inequality-chains", points, chains)
 
 
 def bounds_alpha_beta(x: float) -> tuple[float, float]:

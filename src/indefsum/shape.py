@@ -108,13 +108,14 @@ def kp_check(g, p: int, window: tuple[float, float],
     noise = 0.0
     for _ in range(_SAMPLES):
         nodes = _distinct_nodes(rng, lo, hi, p + 2)
-        dd = divided_difference(g, nodes)
+        values = dict(zip(nodes, map(g, nodes)))  # g once per node
+        dd = divided_difference(values.__getitem__, nodes)
         dmin = min(dmin, dd)
         dmax = max(dmax, dd)
         magmax = max(magmax, abs(dd))
         # conditioning of this sample's table: rounding in g enters dd
         # through weights 1/prod_j |x_i - x_j|
-        fmax = max(abs(g(t)) for t in nodes)
+        fmax = max(map(abs, values.values()))
         amp = max(
             1.0 / math.prod(abs(a - b) for k, b in enumerate(nodes) if k != i)
             for i, a in enumerate(nodes)

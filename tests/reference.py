@@ -493,7 +493,7 @@ def inequality_chains_psi2_per_point(xs: list[float], a_grid: list[float]) -> Re
                                "not-applicable"))
                 residuals.append(_chain_violation(chain) if chain is not None else 0.0)
                 sides.append(chain if chain is not None else [])
-    return make_report("inequalities-psi2", points, residuals, sides)
+    return make_report("inequality-chains", points, residuals, sides)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,30 @@ def test_verify_psi2_only_suites_are_gated():
         assert run_cli("verify", *argv)[0] == 3, argv
 
 
+_CHAIN_REPORTS = {"wendel-bracket", "stirling-bound", "inequality-chains",
+                  "alpha-beta-bounds"}
+_SIDELESS_REPORTS = {"wendel-tail", "wendel-decay", "stirling-decay"}
+
+
+@pytest.mark.parametrize("fn", ["psi2g", "ln", "recip"])
+def test_verify_residuals_follow_their_rule(fn):
+    # a <= chain: its worst gap over max(1, |member|); a pair: lhs - rhs
+    code, text = run_cli("verify", "--fn", fn, "--suite", "all")
+    assert code == 0
+    for rep in json.loads(text)["reports"]:
+        name, sides = rep["identity"], rep["sides"]
+        if name in _SIDELESS_REPORTS:
+            assert sides is None, name
+            continue
+        if name in _CHAIN_REPORTS:
+            want = [max([0.0, *(a - b for a, b in zip(s, s[1:]))])
+                    / max([1.0, *map(abs, s)]) for s in sides]
+        else:
+            assert all(len(s) == 2 for s in sides), name
+            want = [lhs - rhs for lhs, rhs in sides]
+        assert rep["residuals"] == want, name
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_verify_non_finite_side_is_a_convergence_failure(fmt, capsys):
     # each residual max(0, |rem| - bound) of a NaN remainder reads 0.0, a pass

@@ -12,6 +12,8 @@ from indefsum.identities import (
     _wallis_partials,
     alpha_beta_sup_gap,
     bounds_alpha_beta,
+    chain_report,
+    decay_report,
     euler_series_analogue,
     euler_series_closed,
     inequality_chains_psi2,
@@ -22,6 +24,7 @@ from indefsum.identities import (
     psi2_value,
     raabe_sides,
     reflection_sides_psi2,
+    sides_report,
     taylor_psi2,
     wallis_extrapolated,
     webster_sides,
@@ -54,6 +57,44 @@ def test_make_report_max_abs_and_validation():
     assert r.sides is None
     with pytest.raises(ValueError):
         make_report("demo", [1, 2], [0.1])
+
+
+@pytest.mark.parametrize("residuals, sides, what", [
+    ([0.0, math.nan], None, "residual"),
+    ([0.0, math.inf], [[1.0], [2.0]], "residual"),
+    ([0.0, 0.0], [[1.0, 2.0], [math.nan, 2.0]], "side"),
+    ([0.0, 0.0], [[], [-math.inf]], "side"),
+])
+def test_make_report_refuses_values_that_are_not_finite(residuals, sides, what):
+    # max(0.0, nan) is 0.0: a NaN side behind a finite residual is refused too
+    with pytest.raises(ArithmeticError, match=f"^demo: a {what} is not finite$"):
+        make_report("demo", [1, 2], residuals, sides)
+
+
+def test_sides_report_is_lhs_minus_rhs_with_sides_of_their_own():
+    pairs = [(3.0, 1.0), (0.5, 0.75)]
+    r = sides_report("demo", ["a", "b"], pairs)
+    assert (r.residuals, r.max_abs) == ([2.0, -0.25], 2.0)
+    assert r.sides == [[3.0, 1.0], [0.5, 0.75]]
+    assert all(type(s) is list for s in r.sides)
+
+
+def test_chain_report_scaled_violation():
+    r = chain_report("demo", [1, 2, 3, 4], [[], [0.0, 0.5, 0.5], [0.0, 4.0, 1.0],
+                                             [0.5, 0.25]])
+    # an empty chain holds; a violation is the worst gap over max(1, |member|)
+    assert r.residuals == [0.0, 0.0, 3.0 / 4.0, 0.25]
+    assert r.max_abs == 0.75
+    assert r.sides[2] == [0.0, 4.0, 1.0]
+
+
+def test_decay_report_steps_and_refuses_magnitudes_that_are_not_finite():
+    r = decay_report("demo", [1.0, 2.0, 4.0], [([0.5], [3.0, 1.0, 1.5])])
+    assert r.points == [[0.5, 1.0, 2.0], [0.5, 2.0, 4.0]]
+    assert (r.residuals, r.sides) == ([0.0, 0.5], None)
+    # the report has no sides: max(0.0, nan - 1.0) would read 0.0, a pass
+    with pytest.raises(ArithmeticError, match="^demo: a magnitude is not finite$"):
+        decay_report("demo", [1.0, 2.0], [([], [1.0, math.nan])])
 
 
 def test_engine_backed_values_match_references():
@@ -315,8 +356,8 @@ def test_inequality_grid_equals_the_per_point_form():
     a_grid = [0.0, 0.25, 0.5, 1.0, 1.75, 2.0, 2.25, 2.6]
     grid = inequality_chains_psi2(xs, a_grid)
     want = inequality_chains_psi2_per_point(xs, a_grid)
-    assert (grid.points, grid.residuals, grid.sides, grid.max_abs) == \
-        (want.points, want.residuals, want.sides, want.max_abs)
+    assert grid == want
+    assert grid.identity == "inequality-chains"
     assert {pt[3] for pt in grid.points if pt[0] == "gautschi"} == {"checked", "not-applicable"}
 
 

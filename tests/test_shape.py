@@ -58,6 +58,17 @@ def test_kp_check_square_ties_to_convex():
     assert kp_check(lambda x: x * x, 1, (1.0, 65.0)) == "convex"
 
 
+def test_kp_check_evaluates_g_once_per_node():
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return math.log(x)
+
+    assert kp_check(g, 1, (1.0, 65.0)) == "concave"
+    assert len(calls) == len(set(calls)) == 200 * 3  # 200 samples of 3 nodes
+
+
 def test_kp_check_window_validation():
     with pytest.raises(ShapeError):
         kp_check(math.log, 1, (-1.0, 65.0))

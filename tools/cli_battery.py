@@ -12,11 +12,12 @@ Two source trees whose batteries print the same lines agree byte for byte
 on every exit code, payload, error message and --help text the calls
 reach.  The calls cover every subcommand in both formats on the four
 catalog entries and both benchmark expressions, every verify suite and
-`all`, grid and --p/--shape overrides, bad input, every operator of the
-expression language through evaluate and jets, each of its evaluation-time
-failures and parse-error classes, argparse rejections,
-every --help, and the argvs of perfbench's verify_pass and cold_pass for
-seeds 1-3 (perfbench/workloads.py is imported only to draw them).
+`all`, grid and --p/--shape overrides, failing reports (exit 4), bad
+input, every operator of the expression language through evaluate and
+jets, each of its evaluation-time failures and parse-error classes,
+argparse rejections, every --help, and the argvs of perfbench's
+verify_pass and cold_pass for seeds 1-3 (perfbench/workloads.py is
+imported only to draw them).
 Standard library only.
 """
 
@@ -169,6 +170,14 @@ def calls() -> list[list[str]]:
         out += [["verify", "--fn", "psi2g", "--suite", "wendel", "--x=1e200,1e201",
                  "--format", fmt],
                 ["verify", "--fn", "xlnx", "--suite", "stirling", "--x=1e200,1e201",
+                 "--format", fmt]]
+    # failing reports (exit 4): FAIL rows and "pass": false
+    for fmt in ("csv", "json"):
+        out += [["verify", "--fn", "psi2g", "--suite", "mult", "--m", "1000", "--x", "1",
+                 "--format", fmt],
+                ["verify", "--fn", "ln", "--suite", "stirling", "--x", "1000,10,1",
+                 "--format", fmt],
+                ["verify", "--fn", "recip", "--suite", "wendel", "--x", "256,64,16",
                  "--format", fmt]]
     # the expression language
     for src in EXPRESSIONS:
