@@ -504,7 +504,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--shape", choices=["convex", "concave"],
                         help="override certified shape")
     common.add_argument("--tol", type=float, default=1e-9,
-                        help="target tolerance (default 1e-9)")
+                        help="absolute tolerance of eval and tabulate values: sigma "
+                             "adds Gregory terms until its error estimate meets it, "
+                             "else exit 3 (default 1e-9)")
     common.add_argument("--format", choices=["csv", "json"], default=None,
                         dest="fmt",
                         help="output format (default: json for constants and "

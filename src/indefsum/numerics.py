@@ -99,18 +99,35 @@ _BERNOULLI = (1.0, -0.5, 0.16666666666666666, 0.0, -0.03333333333333333, 0.0,
               0.0, 601580873.9006424)
 
 
-def gregory_terms(f: Callable[[float], float], x: float, J: int) -> list[float]:
-    """The J Gregory terms G_n Delta^{n-1} f(x), n = 1..J.
+def gregory_terms(f: Callable[[float], float], x: float, J: int,
+                  tol: float | None = None) -> list[float]:
+    """The Gregory terms G_n Delta^{n-1} f(x), n = 1, 2, ...: J of them, or more to meet tol.
 
     G_n = integral_0^1 C(t, n) dt is a stored literal, the float nearest
     the exact rational.  The sum of the terms is the head of Gregory's
-    formula; the differences come from the one window f(x), ...,
-    f(x+J-1), so the head costs J evaluations; J > 30 raises ValueError.
+    formula.  The difference table grows one diagonal per point: when
+    f(x+n) arrives, new[k] = new[k-1] - diag[k-1] (the subtraction
+    forward_diffs makes) and Delta^n f(x) = new[n], so the head costs one
+    evaluation per term.  With tol (and J >= 2), terms are added past J
+    while the last exceeds tol and is smaller than the one before (a table
+    at its roundoff floor stops), up to the 30 coefficients; J > 30 raises
+    ValueError.
     """
     if J > 30:
         raise ValueError("Gregory coefficient order must be in 1..30")
-    diffs = forward_diffs([f(x + i) for i in range(J)])
-    return [c * d for c, d in zip(_GREGORY, diffs)]
+    terms: list[float] = []
+    diag: list[float] = []
+    while len(terms) < J or (tol is not None and len(terms) < 30
+                             and tol < abs(terms[-1]) < abs(terms[-2])):
+        n = len(terms)
+        v = f(x + n)
+        new = [v]
+        for d in diag:
+            v -= d
+            new.append(v)
+        diag = new
+        terms.append(_GREGORY[n] * v)
+    return terms
 
 
 def bernoulli_number(k: int) -> float:

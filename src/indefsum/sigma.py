@@ -5,8 +5,9 @@ Sigma g is evaluated by the shifted Gregory form
   Sigma g(x) = sigma[g] + integral_1^{x+N} g
                - sum_{n=1..J} G_n Delta^{n-1} g(x+N) - sum_{k<N} g(x+k),
 
-with N the smallest shift putting x + N >= 30 and J = 8: sigma() is that
-evaluator and takes neither N nor J.  Since Sigma g(1) = 0, the same form
+with N the smallest shift putting x + N >= 30 and J >= 8 Gregory terms,
+grown past 8 while the last term exceeds tol and still shrinks: sigma()
+is that evaluator and takes neither N nor J.  Since Sigma g(1) = 0, the same form
 at x = 1 yields the asymptotic constant sigma[g] itself (gregory_constant),
 so sigma() needs no prepared input: it fills g.sigma_constant on first
 use; it is the one place the package evaluates Sigma g.  sigma_deriv()
@@ -80,8 +81,9 @@ class SigmaResult:
     """One evaluated point: a plain value, compared with ==, never hashed or cached.
 
     strategy is "gregory" for everything this package computes, with
-    terms_used = J + N; only the test references (tests/reference.py)
-    label their routes "direct" and "eulerian".  Slotted: no per-point dict.
+    terms_used = J + N, J the Gregory order sigma() actually took; only
+    the test references (tests/reference.py) label their routes "direct"
+    and "eulerian".  Slotted: no per-point dict.
     """
 
     __slots__ = ("value", "err_estimate", "strategy", "terms_used")
@@ -98,7 +100,8 @@ class SigmaResult:
 
 
 _QUAD_TOL = 1e-12
-# the head of sigma() sits at the first x + N >= _SHIFT_TARGET, with _ORDER Gregory terms
+# the head of sigma() sits at the first x + N >= _SHIFT_TARGET, with at least _ORDER
+# Gregory terms
 _SHIFT_TARGET = 30.0
 _ORDER = 8
 
@@ -160,21 +163,25 @@ def sigma(g: GFunction, x: float, tol: float = 1e-10) -> SigmaResult:
 
     value = [sigma[g] + integral_1^{x+N} g - sum_{n=1..J} G_n
     Delta^{n-1} g(x+N)] - sum_{k<N} g(x+k), with N the smallest shift
-    putting x+N >= 30 and J = 8. sigma[g] comes from g.sigma_constant,
+    putting x+N >= 30; J starts at 8 and grows one term at a time while
+    the last term exceeds tol and is still shrinking, up to 30
+    (numerics.gregory_terms).  sigma[g] comes from g.sigma_constant,
     filled by gregory_constant on first use. err_estimate is the
     magnitude of the last retained Gregory term |G_J Delta^{J-1} g(x+N)|,
-    a deliberately conservative omitted-term heuristic (one order down).
-    tol does not select N or J yet; callers compare err_estimate with it.
+    a deliberately conservative omitted-term heuristic (one order down);
+    it exceeds the absolute tol only where the terms stopped shrinking (a
+    table at its roundoff floor) or all 30 were taken.  tol does not
+    select N.
     """
     if not x > 0.0:
         raise ValueError("x must be positive")
-    N, J = max(0, math.ceil(_SHIFT_TARGET - x)), _ORDER
+    N = max(0, math.ceil(_SHIFT_TARGET - x))
     if g.sigma_constant is None:
         g.sigma_constant = gregory_constant(g).value
-    terms = gregory_terms(g.eval, x + N, J)
+    terms = gregory_terms(g.eval, x + N, _ORDER, tol)
     shifted = [g.eval(x + k) for k in range(N)]
     head = g.sigma_constant + integral_from_1(g, x + N) - math.fsum(terms)
-    return SigmaResult(head - math.fsum(shifted), abs(terms[-1]), "gregory", J + N)
+    return SigmaResult(head - math.fsum(shifted), abs(terms[-1]), "gregory", len(terms) + N)
 
 
 def sigma_deriv(g: GFunction, x: float, r: int) -> SigmaResult:

@@ -141,10 +141,21 @@ def test_cold_eval_loads_no_dataclasses_or_fractions():
 
 
 def test_eval_unreachable_tolerance_is_convergence_failure():
-    code, text = run_cli("eval", "--fn", "ln", "--x", "0.5", "--tol", "1e-12")
+    # at x = 1e4 the psi2g table reaches its roundoff floor (about 5.4e-12) within 8 terms
+    code, text = run_cli("eval", "--fn", "psi2g", "--x", "1e4", "--tol", "1e-12")
     assert code == 3
     # rows are still emitted so the caller can inspect the shortfall
-    assert len(rows_of(text)) == 1
+    rows = rows_of(text)
+    assert len(rows) == 1 and float(rows[0]["err_estimate"]) > 1e-12
+
+
+def test_eval_tight_tolerance_grows_the_gregory_head():
+    # eight terms leave 2.5e-11 at x = 0.5; sigma() adds terms until the estimate meets tol
+    code, text = run_cli("eval", "--fn", "ln", "--x", "0.5", "--tol", "1e-12")
+    assert code == 0
+    (row,) = rows_of(text)
+    assert float(row["err_estimate"]) <= 1e-12
+    assert abs(float(row["sigma"]) - math.lgamma(0.5)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,22 @@ def test_gregory_terms_bit_identical_to_exact_coefficients(J):
     assert gregory_terms(math.log, x, J) == expected
 
 
+def test_gregory_terms_grow_until_the_last_meets_tol():
+    # the same table, one diagonal longer per term: the first J terms never move
+    eight = gregory_terms(math.log, 30.0, 8)
+    assert gregory_terms(math.log, 30.0, 8, 1e-9) == eight  # 8 terms already meet 1e-9
+    grown = gregory_terms(math.log, 30.0, 8, 1e-12)
+    assert grown[:8] == eight and len(grown) == 11
+    assert abs(grown[-1]) <= 1e-12 < abs(grown[-2])
+    diffs = _textbook_diffs([math.log(30.0 + i) for i in range(11)])
+    assert grown == [float(gregory_fraction(n)) * d for n, d in enumerate(diffs, 1)]
+    # a slowly shrinking table stops at the 30 coefficients ...
+    assert len(gregory_terms(math.log, 3.7, 8, 0.0)) == 30
+    # ... and one at its roundoff floor where the last term stops shrinking
+    floor = gregory_terms(lambda t: 1e8 + 1.0 / t, 1e3, 8, 0.0)
+    assert len(floor) == 8 and abs(floor[-1]) > abs(floor[-2])
+
+
 def test_gregory_terms_order_range():
     assert gregory_terms(math.log, 2.0, 0) == []
     with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import indefsum.sigma as sigma_module
 from indefsum import asymptotics, constants, identities, shape
 from indefsum.catalog import CATALOG_NAMES, builtin, from_expression
-from indefsum.numerics import integrate
+from indefsum.numerics import gregory_terms, integrate
 from indefsum.sigma import (
     GFunction,
     SigmaResult,
@@ -276,6 +276,47 @@ def test_difference_equation_within_err_estimate(name, logx):
     resid = hi.value - lo.value - gx
     ulp = math.ulp(max(abs(lo.value), abs(hi.value), abs(gx)))
     assert abs(resid) <= lo.err_estimate + hi.err_estimate + 8.0 * ulp, (name, x, resid)
+
+
+# ---------------------------------------------------------------------------
+# tol selects the Gregory order
+
+CONTRACT_XS = [0.01 * 1e5 ** (i / 29) for i in range(30)]  # log-uniform over [0.01, 1e3]
+
+
+def _eight_term_result(g, x):
+    # sigma()'s shifted Gregory form with its head held at 8 terms
+    N = max(0, math.ceil(30.0 - x))
+    terms = gregory_terms(g.eval, x + N, 8)
+    shifted = [g.eval(x + k) for k in range(N)]
+    head = g.sigma_constant + integral_from_1(g, x + N) - math.fsum(terms)
+    return SigmaResult(head - math.fsum(shifted), abs(terms[-1]), "gregory", 8 + N)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + tuple(EXPRESSIONS))
+def test_sigma_grows_the_head_until_it_meets_tol(name):
+    # where 8 terms meet tol the value is the 8-term one to the bit; elsewhere the
+    # head grows until its last term does, and for ln the value is within tol of lgamma
+    g = builtin(name).g if name in CATALOG_NAMES else expression_g(name)
+    sigma(g, 1.0)  # fills sigma[g]
+    for tol in (1e-9, 1e-10, 1e-11):
+        for x in CONTRACT_XS:
+            res, eight = sigma(g, x, tol), _eight_term_result(g, x)
+            if eight.err_estimate <= tol:
+                assert res == eight, (name, tol, x)
+                continue
+            assert res.err_estimate <= tol < eight.err_estimate, (name, tol, x)
+            assert res.terms_used > eight.terms_used, (name, tol, x)
+            if name == "ln":
+                assert abs(res.value - math.lgamma(x)) <= tol, (tol, x)
+
+
+def test_sigma_stops_at_the_roundoff_floor(psi2_entry):
+    # at x = 8835.78 the 8th difference of psi2g is roundoff: no term added, tol unmet
+    x = 8835.778638943626
+    res = sigma(psi2_entry.g, x, 1e-11)
+    assert res.terms_used == 8 and res.err_estimate > 1e-11
+    assert res == _eight_term_result(psi2_entry.g, x)
 
 
 # ---------------------------------------------------------------------------

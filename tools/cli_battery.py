@@ -171,9 +171,12 @@ def calls() -> list[list[str]]:
                  "--format", fmt],
                 ["verify", "--fn", "xlnx", "--suite", "stirling", "--x=1e200,1e201",
                  "--format", fmt]]
-    # failing reports (exit 4): FAIL rows and "pass": false
+    # failing reports (exit 4): FAIL rows and "pass": false; psi2g's mult residual
+    # grows about 1.1e-11 per copy, so m = 1000 passes and m = 10000 fails
     for fmt in ("csv", "json"):
         out += [["verify", "--fn", "psi2g", "--suite", "mult", "--m", "1000", "--x", "1",
+                 "--format", fmt],
+                ["verify", "--fn", "psi2g", "--suite", "mult", "--m", "10000", "--x", "1",
                  "--format", fmt],
                 ["verify", "--fn", "ln", "--suite", "stirling", "--x", "1000,10,1",
                  "--format", fmt],
