@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 # the named constants of the catalog and of the expression language
 NAMED_CONSTANTS = {
@@ -38,21 +38,33 @@ def gen_binomial(x: float, j: int) -> float:
     return acc
 
 
-def forward_diffs(values: Sequence[float]) -> list[float]:
+def _push_diff(diag: list[float], v: float) -> float:
+    """Extend a difference table by g(x+n) = v and return Delta^n g(x).
+
+    diag is the table's last diagonal, Delta^k g(x+n-1-k) for k < n, and
+    is replaced in place by the new one: its entry k is
+    Delta^k g(x+n-k) = Delta^{k-1} g(x+n-k+1) - Delta^{k-1} g(x+n-k), the
+    difference of the same two lower-level entries as in a table built
+    level by level.
+    """
+    k = 0  # a counter, not enumerate: its tuples cost a fifth of the head's time
+    for d in diag:
+        diag[k] = v
+        v -= d
+        k += 1
+    diag.append(v)
+    return v
+
+
+def forward_diffs(values: Iterable[float]) -> list[float]:
     """Forward differences Delta^0 .. Delta^k at the left end of a unit-step window.
 
     values holds g(x), g(x+1), ..., g(x+k); the result is [Delta^0 g(x),
-    ..., Delta^k g(x)], by repeated subtraction of neighbours in place
-    (level[i] = level[i+1] - level[i]).  An empty window gives an empty
-    list (an order-0 head has no differences).
+    ..., Delta^k g(x)].  An empty window gives an empty list (an order-0
+    head has no differences).
     """
-    level = list(values)
-    out = []
-    for top in range(len(level) - 1, -1, -1):
-        out.append(level[0])
-        for i in range(top):
-            level[i] = level[i + 1] - level[i]
-    return out
+    diag: list[float] = []
+    return [_push_diff(diag, v) for v in values]
 
 
 def divided_difference(f: Callable[[float], float], nodes: Sequence[float]) -> float:
@@ -105,28 +117,20 @@ def gregory_terms(f: Callable[[float], float], x: float, J: int,
 
     G_n = integral_0^1 C(t, n) dt is a stored literal, the float nearest
     the exact rational.  The sum of the terms is the head of Gregory's
-    formula.  The difference table grows one diagonal per point: when
-    f(x+n) arrives, new[k] = new[k-1] - diag[k-1] (the subtraction
-    forward_diffs makes) and Delta^n f(x) = new[n], so the head costs one
-    evaluation per term.  With tol (and J >= 2), terms are added past J
-    while the last exceeds tol and is smaller than the one before (a table
-    at its roundoff floor stops), up to the 30 coefficients; J > 30 raises
-    ValueError.
+    formula; the differences come from the one table builder,
+    _push_diff, one evaluation per term.  With tol, terms are added past
+    J (once there are two) while the last exceeds tol and is smaller than
+    the one before (a table at its roundoff floor stops), up to the 30
+    coefficients; J > 30 raises ValueError.
     """
-    if J > 30:
+    if J > len(_GREGORY):
         raise ValueError("Gregory coefficient order must be in 1..30")
-    terms: list[float] = []
     diag: list[float] = []
-    while len(terms) < J or (tol is not None and len(terms) < 30
+    terms: list[float] = []
+    while len(terms) < J or (tol is not None and 2 <= len(terms) < len(_GREGORY)
                              and tol < abs(terms[-1]) < abs(terms[-2])):
         n = len(terms)
-        v = f(x + n)
-        new = [v]
-        for d in diag:
-            v -= d
-            new.append(v)
-        diag = new
-        terms.append(_GREGORY[n] * v)
+        terms.append(_GREGORY[n] * _push_diff(diag, f(x + n)))
     return terms
 
 

@@ -6,9 +6,10 @@ Sigma g is evaluated by the shifted Gregory form
                - sum_{n=1..J} G_n Delta^{n-1} g(x+N) - sum_{k<N} g(x+k),
 
 with N the smallest shift putting x + N >= 30 and J >= 8 Gregory terms,
-grown past 8 while the last term exceeds tol and still shrinks: sigma()
-is that evaluator and takes neither N nor J.  Since Sigma g(1) = 0, the same form
-at x = 1 yields the asymptotic constant sigma[g] itself (gregory_constant),
+grown past 8 while the last term exceeds tol and still shrinks, where tol
+is above the sums' roundoff: sigma() is that evaluator and takes neither
+N nor J.  Since Sigma g(1) = 0, the same form at x = 1 yields the
+asymptotic constant sigma[g] itself (gregory_constant),
 so sigma() needs no prepared input: it fills g.sigma_constant on first
 use; it is the one place the package evaluates Sigma g.  sigma_deriv()
 differentiates the form termwise, where the constant drops out.  The
@@ -165,23 +166,29 @@ def sigma(g: GFunction, x: float, tol: float = 1e-10) -> SigmaResult:
     Delta^{n-1} g(x+N)] - sum_{k<N} g(x+k), with N the smallest shift
     putting x+N >= 30; J starts at 8 and grows one term at a time while
     the last term exceeds tol and is still shrinking, up to 30
-    (numerics.gregory_terms).  sigma[g] comes from g.sigma_constant,
-    filled by gregory_constant on first use. err_estimate is the
-    magnitude of the last retained Gregory term |G_J Delta^{J-1} g(x+N)|,
-    a deliberately conservative omitted-term heuristic (one order down);
-    it exceeds the absolute tol only where the terms stopped shrinking (a
-    table at its roundoff floor) or all 30 were taken.  tol does not
-    select N.
+    (numerics.gregory_terms).  A tol below 4 ulp of the larger of the
+    two sums (the bracket without its terms, and the shifted sum) is
+    out of reach of more terms, and J stays at 8.  sigma[g] comes from
+    g.sigma_constant, filled by gregory_constant on first use.
+    err_estimate is the magnitude of the last retained Gregory term
+    |G_J Delta^{J-1} g(x+N)|, a deliberately conservative omitted-term
+    heuristic (one order down) with no roundoff term; it exceeds the
+    absolute tol only where the terms stopped shrinking (a table at its
+    roundoff floor), all 30 were taken, or tol was out of reach.  tol
+    does not select N.
     """
     if not x > 0.0:
         raise ValueError("x must be positive")
     N = max(0, math.ceil(_SHIFT_TARGET - x))
     if g.sigma_constant is None:
         g.sigma_constant = gregory_constant(g).value
-    terms = gregory_terms(g.eval, x + N, _ORDER, tol)
-    shifted = [g.eval(x + k) for k in range(N)]
-    head = g.sigma_constant + integral_from_1(g, x + N) - math.fsum(terms)
-    return SigmaResult(head - math.fsum(shifted), abs(terms[-1]), "gregory", len(terms) + N)
+    base = g.sigma_constant + integral_from_1(g, x + N)
+    shifted = math.fsum([g.eval(x + k) for k in range(N)])
+    # more terms cannot buy a tol below 4 ulp of the sums: the head stays at 8
+    grow = tol if tol > 4.0 * sys.float_info.epsilon * max(abs(base), abs(shifted)) else None
+    terms = gregory_terms(g.eval, x + N, _ORDER, grow)
+    return SigmaResult(base - math.fsum(terms) - shifted, abs(terms[-1]), "gregory",
+                       len(terms) + N)
 
 
 def sigma_deriv(g: GFunction, x: float, r: int) -> SigmaResult:

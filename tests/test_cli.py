@@ -141,7 +141,8 @@ def test_cold_eval_loads_no_dataclasses_or_fractions():
 
 
 def test_eval_unreachable_tolerance_is_convergence_failure():
-    # at x = 1e4 the psi2g table reaches its roundoff floor (about 5.4e-12) within 8 terms
+    # Sigma psi2g(1e4) is about 3.9e8: 1e-12 is below 4 ulp of it, so the head keeps
+    # 8 terms, whose last is roundoff of about 5.4e-12
     code, text = run_cli("eval", "--fn", "psi2g", "--x", "1e4", "--tol", "1e-12")
     assert code == 3
     # rows are still emitted so the caller can inspect the shortfall

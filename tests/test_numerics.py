@@ -177,6 +177,9 @@ def test_gregory_terms_grow_until_the_last_meets_tol():
 
 def test_gregory_terms_order_range():
     assert gregory_terms(math.log, 2.0, 0) == []
+    # a tol grows a head only from two terms on, the second-to-last being its yardstick
+    assert gregory_terms(math.log, 2.0, 0, 1e-12) == []
+    assert gregory_terms(math.log, 2.0, 1, 1e-12) == gregory_terms(math.log, 2.0, 1)
     with pytest.raises(ValueError):
         gregory_terms(math.log, 2.0, 31)
 

@@ -5,6 +5,7 @@ derivatives."""
 import inspect
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -312,11 +313,23 @@ def test_sigma_grows_the_head_until_it_meets_tol(name):
 
 
 def test_sigma_stops_at_the_roundoff_floor(psi2_entry):
-    # at x = 8835.78 the 8th difference of psi2g is roundoff: no term added, tol unmet
+    # at x = 8835.78 the 8th difference of psi2g is roundoff, and 1e-11 is far below
+    # 4 ulp of Sigma psi2g (about 3.0e8): no term added, tol unmet
     x = 8835.778638943626
     res = sigma(psi2_entry.g, x, 1e-11)
     assert res.terms_used == 8 and res.err_estimate > 1e-11
     assert res == _eight_term_result(psi2_entry.g, x)
+
+
+@pytest.mark.parametrize("x", [55.0, 61.9, 62.2, 67.0])
+def test_sigma_keeps_eight_terms_below_the_roundoff_of_its_sums(psi2_entry, x):
+    # Sigma psi2g is about 5e3 here, so 1e-12 is below 4 ulp of the sums and more
+    # terms would only claim it: the 8-term value and estimate stand, over tol
+    res = sigma(psi2_entry.g, x, 1e-12)
+    assert res == _eight_term_result(psi2_entry.g, x)
+    assert res.err_estimate > 1e-12 and 4.0 * sys.float_info.epsilon * abs(res.value) > 1e-12
+    # a tol above that roundoff still grows the head
+    assert sigma(psi2_entry.g, x, 1e-11).err_estimate <= 1e-11
 
 
 # ---------------------------------------------------------------------------
