@@ -3,11 +3,10 @@
 Everything in here measures how far Sigma g is from its polynomial or
 integral skeleton: the Wendel residual is the deviation of Sigma g(x+a)
 from its Newton head at x, the Binet function J is the Gregory-corrected
-deviation from the sigma-plus-integral main part (it vanishes at
-infinity), and the asymptotic expansion refines the main part with
-Bernoulli-number corrections.  Every function reads its order p from
-g.p.  Differences and Gregory heads come from numerics (forward_diffs,
-gregory_terms).
+deviation of a caller's Sigma g(x) from the sigma-plus-integral main part
+(it vanishes at infinity), and the asymptotic expansion refines the main
+part with Bernoulli-number corrections.  Every function reads its order p
+from g.p; differences and Gregory heads come from numerics.
 """
 
 from __future__ import annotations
@@ -40,14 +39,15 @@ def wendel_residual(g: GFunction, a: float, x: float) -> float:
     return sigma(g, x + a).value - sigma(g, x).value - head
 
 
-def binet(g: GFunction, x: float) -> float:
-    """Generalized Binet function J^{p+1}[Sigma g](x), p = g.p.
+def binet(g: GFunction, x: float, value: float) -> float:
+    """Generalized Binet function J^{p+1}[Sigma g](x), p = g.p, from value = Sigma g(x).
 
-    Sigma g(x) - sigma[g] - integral_1^x g + sum_{j=1}^p G_j Delta^{j-1} g(x),
-    which vanishes as x -> infinity.
+    value - sigma[g] - integral_1^x g + sum_{j=1}^p G_j Delta^{j-1} g(x),
+    which vanishes as x -> infinity.  J is only as accurate as value, so
+    the caller evaluates Sigma g(x) at the tol it owns.
     """
     head = math.fsum(gregory_terms(g, x, g.p))
-    return sigma(g, x).value - asymptotic_constant(g) - integral_from_1(g, x) + head
+    return value - asymptotic_constant(g) - integral_from_1(g, x) + head
 
 
 def asym_expansion(g: GFunction, x: float, q: int, m: int) -> tuple[float, list[ExpansionTerm]]:
@@ -61,6 +61,8 @@ def asym_expansion(g: GFunction, x: float, q: int, m: int) -> tuple[float, list[
     shipped derivation note fixes the convention by matching the known
     closed-form expansion of the x ln x family.
     """
+    if not x > 0.0:
+        raise ValueError("x must be positive")
     if not 0 <= q <= 8:
         raise ValueError("q must be in 0..8")
     if m < 1:

@@ -10,8 +10,10 @@ platform.  JSON comes from the module's own emitter (_emit_json), whose
 bytes and errors are those of json.dumps(indent=2, allow_nan=False); it
 writes each list of scalars with one join, where json.dumps with an
 indent runs the pure-Python encoder.  The argparse tree is built once per
-process and reused by every run() call.  Each subparser names its handler
-cmd_*(args, out) and its default format; one table, _SUITES, gives
+process and reused by every run() call.  Only eval and tabulate take --tol:
+each Sigma g they print is evaluated once, at it, and tabulate's binet
+column is built from the sigma value on its row.  Each subparser names its
+handler cmd_*(args, out) and its default format; one table, _SUITES, gives
 each verify suite its runner, the grid flags it reads and whether it
 needs --fn psi2g.  A runner holds its default grids and tolerances and
 takes each report from an identities builder, which makes every
@@ -209,23 +211,12 @@ def cmd_eval(args, out) -> int:
 # constants
 
 def cmd_constants(args, out) -> int:
-    entry = _resolve_entry(args)
-    report = constants.constants_report(entry.g)
-    payload = {
-        "command": "constants",
-        "function": _label(args),
-        "p": report.p,
-        "shape": entry.g.shape,
-        "sigma": report.sigma,
-        "gamma": report.gamma_gen,
-        "err": report.err,
-        "method": report.method,
-    }
+    report = constants.constants_report(_resolve_entry(args).g)
     if args.fmt == "csv":
-        header = ["p", "shape", "sigma", "gamma", "err", "method"]
-        out.write(_emit_csv(header, [[payload[h] for h in header]]))
+        out.write(_emit_csv(list(report._fields), [list(report)]))
     else:
-        out.write(_emit_json(payload))
+        out.write(_emit_json({"command": "constants", "function": _label(args),
+                              **report._asdict()}))
     return EXIT_OK
 
 
@@ -279,7 +270,7 @@ def _suite_stirling(entry, ms, xs):
                   for x in xs]
         return [(identities.chain_report("stirling-bound", xs, chains), 1e-9)]
     xs = xs or [10.0, 100.0, 1000.0]
-    rows = [([], [abs(asymptotics.binet(entry.g, x)) for x in xs])]
+    rows = [([], [abs(asymptotics.binet(entry.g, x, sigma(entry.g, x).value)) for x in xs])]
     return [(identities.decay_report("stirling-decay", xs, rows), 1e-9)]
 
 
@@ -462,12 +453,8 @@ def cmd_tabulate(args, out) -> int:
         res = _sigma_point(entry.g, x, args.tol)
         if res.err_estimate > args.tol:
             worst_over_tol = True
-        jval = asymptotics.binet(entry.g, x)
-        if with_bounds:
-            alpha, beta = identities.bounds_alpha_beta(x)
-        else:
-            alpha = beta = None
-        rows.append([x, res.value, jval, alpha, beta])
+        alpha, beta = identities.bounds_alpha_beta(x) if with_bounds else (None, None)
+        rows.append([x, res.value, asymptotics.binet(entry.g, x, res.value), alpha, beta])
     out.write(_emit_rows(args, "tabulate", ["x", "sigma", "binet", "alpha", "beta"], rows))
     return EXIT_CONVERGENCE if worst_over_tol else EXIT_OK
 
@@ -497,22 +484,24 @@ def cmd_catalog(args, out) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built on first use and reused: parse_args reads the tree and never changes it
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--fn", help="catalog function name")
-    common.add_argument("--expr", help="expression-language source text")
-    common.add_argument("--p", type=int, help="override difference order p")
-    common.add_argument("--shape", choices=["convex", "concave"],
-                        help="override certified shape")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="absolute tolerance of eval and tabulate values: sigma "
-                             "adds Gregory terms until its error estimate meets it, "
-                             "else exit 3; the estimate leaves out roundoff, and a "
-                             "tol below 4 ulp of the sums keeps 8 terms (default 1e-9)")
-    common.add_argument("--format", choices=["csv", "json"], default=None,
-                        dest="fmt",
+    # parents in --help order: function flags, --tol (eval, tabulate), output flags
+    function = argparse.ArgumentParser(add_help=False)
+    function.add_argument("--fn", help="catalog function name")
+    function.add_argument("--expr", help="expression-language source text")
+    function.add_argument("--p", type=int, help="override difference order p")
+    function.add_argument("--shape", choices=["convex", "concave"],
+                          help="override certified shape")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-9,
+                     help="absolute tolerance of eval and tabulate values: sigma "
+                          "adds Gregory terms until its error estimate meets it, "
+                          "else exit 3; the estimate leaves out roundoff, and a "
+                          "tol below 4 ulp of the sums keeps 8 terms (default 1e-9)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=["csv", "json"], default=None, dest="fmt",
                         help="output format (default: json for constants and "
                              "verify, csv otherwise)")
-    common.add_argument("--seed", type=int, default=0,
+    output.add_argument("--seed", type=int, default=0,
                         help="seed for sampled classification (default 0)")
 
     parser = argparse.ArgumentParser(
@@ -522,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common],
+    p_eval = sub.add_parser("eval", parents=[function, tol, output],
                             help="evaluate Sigma g on a list of points")
     p_eval.set_defaults(handler=cmd_eval, default_fmt="csv")
     p_eval.add_argument("--x", required=True,
@@ -531,11 +520,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="add the catalog offset so values land on the "
                              "named special function")
 
-    sub.add_parser("constants", parents=[common],
+    sub.add_parser("constants", parents=[function, output],
                    help="compute sigma[g] and gamma[g]").set_defaults(
         handler=cmd_constants, default_fmt="json")
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[function, output],
                               help="run identity/inequality suites")
     p_verify.set_defaults(handler=cmd_verify, default_fmt="json")
     p_verify.add_argument("--suite", required=True, choices=list(_SUITES) + ["all"])
@@ -543,14 +532,14 @@ def _build_parser() -> argparse.ArgumentParser:
         readers = ", ".join(s for s, (_, flags, _) in _SUITES.items() if flag in flags)
         p_verify.add_argument(flag, help=f"comma-separated {what} ({readers})")
 
-    p_expand = sub.add_parser("expand", parents=[common],
+    p_expand = sub.add_parser("expand", parents=[function, output],
                               help="Bernoulli asymptotic expansion terms")
     p_expand.set_defaults(handler=cmd_expand, default_fmt="csv")
     p_expand.add_argument("--x", type=float, required=True)
     p_expand.add_argument("--q", type=int, default=6)
     p_expand.add_argument("--m", type=int, default=1)
 
-    p_tab = sub.add_parser("tabulate", parents=[common],
+    p_tab = sub.add_parser("tabulate", parents=[function, tol, output],
                            help="tabulate sigma/binet (and bounds) over a range")
     p_tab.set_defaults(handler=cmd_tabulate, default_fmt="csv")
     p_tab.add_argument("--from", dest="start", type=float, required=True)
@@ -574,7 +563,7 @@ def run(argv=None, out=None) -> int:
         if args.command != "catalog":  # the one subcommand without --fn/--expr
             if (args.fn is None) == (args.expr is None):
                 raise CliInputError("exactly one of --fn / --expr is required")
-            if not (math.isfinite(args.tol) and args.tol >= 1e-12):
+            if "tol" in vars(args) and not (math.isfinite(args.tol) and args.tol >= 1e-12):
                 raise CliInputError("--tol must be finite and >= 1e-12")
         return args.handler(args, out)
     except ValueError as exc:  # CliInputError, ExprError, ShapeError, out-of-range values

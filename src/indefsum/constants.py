@@ -19,9 +19,12 @@ from .sigma import GFunction, gregory_constant
 
 
 class ConstantsReport(NamedTuple):
+    """The constants payload, its fields in output order."""
+
     p: int
+    shape: str
     sigma: float
-    gamma_gen: float
+    gamma: float
     err: float
     method: str
 
@@ -52,7 +55,7 @@ def euler_constant_gen(g: GFunction) -> float:
 
 
 def constants_report(g: GFunction) -> ConstantsReport:
-    """Assemble (p, sigma, gamma, err) with the method that produced sigma.
+    """Assemble (p, shape, sigma, gamma, err) with the method that produced sigma.
 
     err is gregory_constant's bound on the error of sigma; gamma comes from
     euler_constant_gen, so a g.p other than the decay degree raises
@@ -61,5 +64,5 @@ def constants_report(g: GFunction) -> ConstantsReport:
     res = gregory_constant(g)
     if g.sigma_constant is None:
         g.sigma_constant = res.value
-    return ConstantsReport(p=g.p, sigma=g.sigma_constant, gamma_gen=euler_constant_gen(g),
-                           err=res.err_estimate, method=res.strategy)
+    return ConstantsReport(g.p, g.shape, g.sigma_constant, euler_constant_gen(g),
+                           res.err_estimate, res.strategy)

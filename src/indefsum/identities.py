@@ -21,7 +21,7 @@ from operator import neg
 from typing import NamedTuple, Optional, Sequence
 
 from .numerics import NAMED_CONSTANTS, gen_binomial, integrate, integrate_singular, \
-    zeta_int, zeta_int_minus_1
+    zeta_int_minus_1
 from .sigma import GFunction, integral_from_1, sigma
 from .constants import asymptotic_constant
 from .asymptotics import binet
@@ -109,6 +109,8 @@ def lngamma_value(x: float) -> float:
 
 def raabe_sides(g: GFunction, x: float) -> tuple[float, float]:
     """(integral_x^{x+1} Sigma g, sigma[g] + integral_1^x g)."""
+    if not x > 0.0:
+        raise ValueError("x must be positive")
     lhs = integrate(lambda t: sigma(g, t).value, x, x + 1.0, tol=1e-10).value
     rhs = asymptotic_constant(g) + integral_from_1(g, x)
     return lhs, rhs
@@ -282,8 +284,8 @@ def taylor_psi2(x: float) -> float:
         raise ValueError("|x| must be <= 0.75")
     terms = [0.5 * NAMED_CONSTANTS["ln_2pi"],
              -0.5 * NAMED_CONSTANTS["euler_gamma"] * x * x]
-    for n in range(3, _TAYLOR_TERMS + 1):
-        terms.append((-1.0) ** (n - 1) * zeta_int(n - 1) / (n * (n - 1)) * x ** n)
+    terms += [(-1.0) ** (n - 1) * (1.0 + zeta_int_minus_1(n - 1)) / (n * (n - 1)) * x ** n
+              for n in range(3, _TAYLOR_TERMS + 1)]
     return math.fsum(terms)
 
 
@@ -326,8 +328,9 @@ def inequality_chains_psi2(xs: list[float], a_grid: list[float]) -> ResidualRepo
     when x + floor(a) < x_0.  The terms that depend on a alone are
     computed once per a, those that depend on x alone (g, its
     differences, psi_-2 and the Stirling-based chain) once per x, and a
-    table local to the call evaluates each distinct psi_-2 and ln Gamma
-    point once; each chain is a list of its own.
+    table local to the call evaluates each distinct Sigma g and ln Gamma
+    point once; psi_-2 and the Binet function both read Sigma g from it.
+    Each chain is a list of its own.
     """
     if any(x <= 0.0 for x in xs) or any(a < 0.0 for a in a_grid):
         raise ValueError("require x > 0 and a >= 0")
@@ -335,7 +338,8 @@ def inequality_chains_psi2(xs: list[float], a_grid: list[float]) -> ResidualRepo
     g = entry.g.eval
     dg = lambda y: g(y + 1.0) - g(y)
     d2g = lambda y: g(y + 2.0) - 2.0 * g(y + 1.0) + g(y)
-    psi2 = functools.cache(psi2_value)
+    sigma_g = functools.cache(lambda y: sigma(entry.g, y).value)
+    psi2 = lambda y: sigma_g(y) + entry.offset  # psi2_value's expression
     lngamma = functools.cache(lngamma_value)
 
     per_a = []
@@ -354,7 +358,7 @@ def inequality_chains_psi2(xs: list[float], a_grid: list[float]) -> ResidualRepo
         # Stirling-based: 0 <= -J^3[Sigma g](x)
         #                   <= integral_0^1 C(t-1,2)(dg(x+t) - dg(x)) dt
         #                   <= (5/12) d2g(x)
-        stirling = (0.0, -binet(entry.g, x),
+        stirling = (0.0, -binet(entry.g, x, sigma_g(x)),
                     integrate(lambda t: 0.5 * (t - 1.0) * (t - 2.0) * (dg(x + t) - dgx),
                               0.0, 1.0, tol=1e-11).value,
                     (5.0 / 12.0) * d2gx)

@@ -146,9 +146,14 @@ def bernoulli_number(k: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _zeta_minus_1(n: int) -> float:
-    # zeta(n) - 1 with full relative accuracy: direct sum over 2..K-1 plus
-    # an Euler-Maclaurin tail for sum_{k>=K} k^(-n)
+def zeta_int_minus_1(n: int) -> float:
+    """zeta(n) - 1 for an integer n in 2..60, with full relative accuracy.
+
+    Direct summation over 2..K-1 plus an Euler-Maclaurin tail for
+    sum_{k>=K} k^(-n); cached.  zeta(n) itself is 1.0 + zeta_int_minus_1(n),
+    |error| < 1e-14; the difference form is needed wherever the
+    alternating Fontana-style series is rearranged around zeta(n) -> 1.
+    """
     if n < 2 or n > 60:
         raise ValueError("zeta argument must be an integer in 2..60")
     K = 32
@@ -161,23 +166,6 @@ def _zeta_minus_1(n: int) -> float:
         rising *= (n + 2 * j - 1) * (n + 2 * j)
         kpow /= float(K) * float(K)
     return math.fsum(head + tail)
-
-
-def zeta_int(n: int) -> float:
-    """Riemann zeta at an integer argument n in 2..60, |error| < 1e-14.
-
-    Direct summation plus an Euler-Maclaurin tail correction; cached.
-    """
-    return 1.0 + _zeta_minus_1(n)
-
-
-def zeta_int_minus_1(n: int) -> float:
-    """zeta(n) - 1 without cancellation, accurate in relative terms.
-
-    Needed wherever the alternating Fontana-style series is rearranged
-    around the zeta(n) -> 1 limit.
-    """
-    return _zeta_minus_1(n)
 
 
 class QuadResult(NamedTuple):

@@ -32,7 +32,7 @@ from indefsum.constants import asymptotic_constant
 from indefsum.identities import GAUTSCHI_X0, ResidualReport, _chain_violation, \
     _scaled_entry, lngamma_value, make_report, psi2_value
 from indefsum.numerics import NAMED_CONSTANTS, forward_diffs, gen_binomial, \
-    gregory_terms, integrate, zeta_int
+    gregory_terms, integrate, zeta_int_minus_1
 from indefsum.sigma import GFunction, SigmaResult, integral_from_1, sigma
 
 
@@ -486,7 +486,8 @@ def inequality_chains_psi2_per_point(xs: list[float], a_grid: list[float]) -> Re
                             (a - ca) * g(x + fa)]
             s2 = integrate(lambda t: 0.5 * (t - 1.0) * (t - 2.0) * (dg(x + t) - dg(x)),
                            0.0, 1.0, tol=1e-11).value
-            stirling = [0.0, -binet(entry.g, x), s2, (5.0 / 12.0) * d2g(x)]
+            stirling = [0.0, -binet(entry.g, x, sigma(entry.g, x).value), s2,
+                        (5.0 / 12.0) * d2g(x)]
             for name, chain in (("wendel", [0.0, w1, w2, w3]), ("webster", [0.0, b1, b2]),
                                 ("gautschi", gautschi), ("stirling", stirling)):
                 points.append((name, x, a, "checked" if chain is not None else
@@ -537,7 +538,7 @@ def euler_series_raw(N: int) -> float:
     if N > 60:
         raise ValueError("raw mode is limited to N <= 60")
     return math.fsum(
-        (-1.0) ** n * zeta_int(n) / (n * (n + 1) * (n + 2))
+        (-1.0) ** n * (1.0 + zeta_int_minus_1(n)) / (n * (n + 1) * (n + 2))
         for n in range(2, N + 1)
     )
 

@@ -149,7 +149,7 @@ def test_c08_remainder_decay(ln_entry, psi2_entry):
     x = 50.0
     law = 1.0 / (720.0 * x * x) - 1.0 / (5040.0 * x ** 4)
     rel = abs(expansion_remainder(psi2_entry.g, x) - law) / law
-    ln_err = abs(binet(ln_entry.g, 100.0) - 1.0 / 1200.0)
+    ln_err = abs(binet(ln_entry.g, 100.0, sigma(ln_entry.g, 100.0).value) - 1.0 / 1200.0)
     ok = worst_ratio <= 1.0 and rel <= 0.10 and ln_err <= 0.1 / 1200.0
     _line("8", "remainder magnitudes track the two-term law", ok,
           f"bound ratio = {worst_ratio:.3f}, law rel err = {rel:.2e}, "

@@ -82,39 +82,40 @@ def test_wendel_limit_form_psi2(psi2_entry, ln_entry):
 
 def test_binet_log_at_one(ln_entry):
     want = 1.0 - 0.5 * LN_2PI
-    assert binet(ln_entry.g, 1.0) == pytest.approx(want, abs=1e-9)
-    assert binet(ln_entry.g, 1.0) == pytest.approx(
+    assert binet(ln_entry.g, 1.0, sigma(ln_entry.g, 1.0).value) == pytest.approx(want, abs=1e-9)
+    assert binet(ln_entry.g, 1.0, sigma(ln_entry.g, 1.0).value) == pytest.approx(
         -euler_constant_gen(ln_entry.g), abs=1e-9)
 
 
 def test_binet_log_far_field_matches_stirling_tail(ln_entry):
     # J(x) ~ 1/(12 x)
-    val = binet(ln_entry.g, 100.0)
+    val = binet(ln_entry.g, 100.0, sigma(ln_entry.g, 100.0).value)
     assert val == pytest.approx(1.0 / 1200.0, rel=0.05)
 
 
 @pytest.mark.parametrize("x", [1.0, 2.5, 10.0])
 def test_binet_psi2_matches_closed_form(psi2_entry, x):
-    assert binet(psi2_entry.g, x) == pytest.approx(_binet3_closed_psi2(x), abs=1e-8)
+    assert binet(psi2_entry.g, x, sigma(psi2_entry.g, x).value) == pytest.approx(
+        _binet3_closed_psi2(x), abs=1e-8)
 
 
 @pytest.mark.parametrize("x", [1.0, 2.5, 10.0])
 def test_binet_modes_agree(ln_entry, psi2_entry, recip_entry, x):
     for entry in (ln_entry, psi2_entry, recip_entry):
-        explicit = binet(entry.g, x)
+        explicit = binet(entry.g, x, sigma(entry.g, x).value)
         integral = binet_integral(entry.g, x)
         assert explicit == pytest.approx(integral, abs=1e-7), entry.name
 
 
 def test_binet_at_one_is_minus_gamma(all_entries):
     for entry in all_entries:
-        assert binet(entry.g, 1.0) == pytest.approx(
+        assert binet(entry.g, 1.0, sigma(entry.g, 1.0).value) == pytest.approx(
             -euler_constant_gen(entry.g), abs=1e-8), entry.name
 
 
 def test_stirling_decay_profile_monotone(ln_entry, psi2_entry):
     for entry in (ln_entry, psi2_entry):
-        prof = [abs(binet(entry.g, x)) for x in (10.0, 100.0, 1000.0)]
+        prof = [abs(binet(entry.g, x, sigma(entry.g, x).value)) for x in (10.0, 100.0, 1000.0)]
         assert all(b < a for a, b in zip(prof, prof[1:])), entry.name
 
 
@@ -122,7 +123,7 @@ def test_stirling_chain_bound_psi2(psi2_entry):
     # 0 <= -J^3 <= (5/12) Delta^2 g(x)
     g = psi2_entry.g
     for x in (1.0, 5.0, 20.0, 100.0):
-        neg_j3 = -binet(g, x)
+        neg_j3 = -binet(g, x, sigma(g, x).value)
         assert neg_j3 >= -1e-10, x
         assert neg_j3 <= (5.0 / 12.0) * forward_diffs([g(x + i) for i in range(3)])[2] + 1e-10, x
 
@@ -132,7 +133,7 @@ def test_binet_vanishes_for_polynomial_inputs():
     for src, p in (("1/2", 1), ("x", 2)):
         entry = from_expression(src, p=p, shape="convex")
         for x in (0.7, 1.0, 3.7, 12.0):
-            assert binet(entry.g, x) == pytest.approx(0.0, abs=1e-9), src
+            assert binet(entry.g, x, sigma(entry.g, x).value) == pytest.approx(0.0, abs=1e-9), src
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +173,9 @@ def test_asym_expansion_validation(ln_entry):
         asym_expansion(ln_entry.g, 10.0, 9, 1)
     with pytest.raises(ValueError):
         asym_expansion(ln_entry.g, 10.0, 4, 0)
+    for x in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^x must be positive$"):
+            asym_expansion(ln_entry.g, x, 4, 1)
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -193,7 +197,7 @@ def test_expansion_error_bounded_by_first_omitted_term(all_entries, q, x):
 def test_expansion_remainder_coincides_with_binet_at_order_one(ln_entry):
     for x in (5.0, 50.0):
         assert expansion_remainder(ln_entry.g, x) == pytest.approx(
-            binet(ln_entry.g, x), abs=1e-12)
+            binet(ln_entry.g, x, sigma(ln_entry.g, x).value), abs=1e-12)
 
 
 def test_expansion_remainder_psi2_two_term_law(psi2_entry):

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indefsum import cli
+from indefsum.asymptotics import binet
 
 from _frozen import EULER_GAMMA, PSI2_HALF, SIGMA_LN
 
@@ -62,6 +63,23 @@ def test_eval_named_offset_lands_on_reference():
     code, text = run_cli("eval", "--fn", "psi2g", "--x", "0.5", "--offset", "named")
     assert code == 0
     assert float(rows_of(text)[0]["sigma"]) == pytest.approx(PSI2_HALF, abs=1e-8)
+
+
+FUNCTIONS = (("--fn", "psi2g"), ("--fn", "ln"), ("--fn", "recip"), ("--fn", "xlnx"),
+             ("--expr", "1/x + ln(x)"), ("--expr", "x*ln(x) - x + ln(2*pi)/2"))
+
+
+@pytest.mark.parametrize("argv", [
+    *[("expand", *fn, "--x", "7.5") for fn in FUNCTIONS],
+    *[("tabulate", *fn, "--from", "0.5", "--to", "3", "--step", "1.25") for fn in FUNCTIONS],
+    *[("verify", *fn, "--suite", "all") for fn in FUNCTIONS],
+], ids=lambda argv: " ".join(argv))
+def test_json_outputs_validate(schema, argv):
+    code, text = run_cli(*argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(text)
+    jsonschema.validate(payload, schema)
+    assert payload["command"] == argv[0]
 
 
 def test_eval_json_validates(schema):
@@ -318,6 +336,14 @@ def test_verify_follows_the_suite_table(suite, flag, grid, capsys):
         assert code == 0
 
 
+@pytest.mark.parametrize("argv", [("--fn", "ln", "--suite", "raabe"),
+                                  ("--fn", "psi2g", "--suite", "stirling")])
+def test_verify_nonpositive_x_names_the_bad_input(argv, capsys):
+    # a closed-form antiderivative at 0 used to fail with "math domain error"
+    assert run_cli("verify", *argv, "--x", "0") == (2, "")
+    assert capsys.readouterr().err == "error: x must be positive\n"
+
+
 def test_verify_grid_flag_a_named_suite_ignores_is_bad_input(capsys):
     # an empty grid is given too, not absent: it never falls back to a suite's default
     for suite, flag in (("wallis", "--x"), ("wallis", "--m"), ("raabe", "--x"),
@@ -348,7 +374,8 @@ def test_verify_inequalities_evaluates_each_point_once(monkeypatch):
     monkeypatch.setattr(asymptotics, "sigma", counted)
     code, _ = run_cli("verify", "--fn", "psi2g", "--suite", "inequalities")
     assert code == 0
-    assert len(calls) <= 134
+    # binet reads the Sigma g(x) that psi_-2(x) already took from the call's table
+    assert len(calls) <= 114
     assert len(set(calls)) == 104
 
 
@@ -544,6 +571,70 @@ def test_tabulate_empty_range_and_validation():
     for stop in ("2", "0.999999999999"):
         assert run_cli("tabulate", "--fn", "ln", "--from", "1", "--to", stop,
                        "--step", "1e-300")[0] == 2, stop
+
+
+def _entry(fn):
+    flag, name = fn
+    return cli._resolve_entry(argparse.Namespace(
+        fn=name if flag == "--fn" else None, expr=name if flag == "--expr" else None,
+        p=None, shape=None, seed=0))
+
+
+def test_tabulate_binet_meets_tol():
+    # J[Sigma ln](x) = ln Gamma(x) - sigma[ln] - (x ln x - x + 1) + (1/2) ln x; the binet
+    # column is built from the printed sigma, so it meets --tol as that does
+    code, text = run_cli("tabulate", "--fn", "ln", "--from", "0.5", "--to", "25.5",
+                         "--step", "0.5", "--tol", "1e-12")
+    assert code == 0
+    rows = rows_of(text)
+    assert len(rows) == 51
+    for r in rows:
+        x = float(r["x"])
+        want = math.lgamma(x) - SIGMA_LN - (x * math.log(x) - x + 1.0) + 0.5 * math.log(x)
+        assert abs(float(r["binet"]) - want) <= 1e-12, x
+
+
+@pytest.mark.parametrize("tol", ["1e-9", "1e-11"])
+@pytest.mark.parametrize("fn", FUNCTIONS, ids=lambda fn: fn[1])
+def test_tabulate_binet_is_built_from_the_printed_sigma(fn, tol):
+    code, text = run_cli("tabulate", *fn, "--from", "0.5", "--to", "25.5", "--step", "2.5",
+                         "--tol", tol, "--format", "json")
+    assert code in (0, 3)
+    g = _entry(fn).g
+    rows = json.loads(text)["rows"]
+    assert len(rows) == 11
+    for r in rows:
+        assert r["binet"] == binet(g, r["x"], r["sigma"]), r["x"]
+
+
+def test_tabulate_row_costs_one_sigma_call(monkeypatch):
+    from indefsum import asymptotics, identities, sigma as sigma_module
+    calls = []
+
+    def counted(g, x, tol=1e-10):
+        calls.append(x)
+        return sigma_module.sigma(g, x, tol)
+
+    for module in (cli, asymptotics, identities):
+        monkeypatch.setattr(module, "sigma", counted)
+    for fn in (("--fn", "ln"), ("--fn", "psi2g")):
+        calls.clear()
+        code, text = run_cli("tabulate", *fn, "--from", "1", "--to", "3", "--step", "0.5")
+        assert code == 0
+        assert calls == [float(r["x"]) for r in rows_of(text)] == [1.0, 1.5, 2.0, 2.5, 3.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("constants", "--fn", "ln"),
+    ("verify", "--fn", "ln", "--suite", "raabe"),
+    ("expand", "--fn", "ln", "--x", "9"),
+])
+def test_tol_is_refused_where_nothing_reads_it(argv, capsys):
+    assert run_cli(*argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--tol", "1e-9")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_constants_report_cached_route(ln_entry):
     assert report.p == 1
     assert report.method == "gregory"
     assert report.sigma == pytest.approx(SIGMA_LN, abs=1e-9)
-    assert report.gamma_gen == pytest.approx(SIGMA_LN, abs=1e-9)
+    assert report.gamma == pytest.approx(SIGMA_LN, abs=1e-9)
     assert report.err >= 0.0
 
 

@@ -31,7 +31,7 @@ from indefsum.identities import (
 )
 from indefsum.asymptotics import binet
 from indefsum.catalog import builtin, from_expression, reference_lgamma, reference_psi2
-from indefsum.sigma import integral_from_1
+from indefsum.sigma import integral_from_1, sigma
 
 from _frozen import (
     EULER_SERIES_CLOSED,
@@ -118,6 +118,12 @@ def test_raabe_residual_other_entries(xlnx_entry, recip_entry, x):
     for entry in (xlnx_entry, recip_entry):
         lhs, rhs = raabe_sides(entry.g, x)
         assert abs(lhs - rhs) <= 1e-7, entry.name
+
+
+def test_raabe_sides_need_positive_x(ln_entry):
+    for x in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^x must be positive$"):
+            raabe_sides(ln_entry.g, x)
 
 
 def test_raabe_area_constancy(ln_entry, psi2_entry):
@@ -373,7 +379,7 @@ def test_inequality_grid_sides_never_alias():
         assert len(chains) == len(CLI_AS)
         # one evaluation per x, handed out as equal lists of their own
         assert all(c == chains[0] and c is not chains[0] for c in chains[1:])
-        assert chains[0][1] == -binet(g, x)
+        assert chains[0][1] == -binet(g, x, sigma(g, x).value)
         chains[0].append(None)
         assert all(len(c) == 4 for c in chains[1:])
 

@@ -18,7 +18,6 @@ from indefsum.numerics import (
     gregory_terms,
     integrate,
     integrate_singular,
-    zeta_int,
     zeta_int_minus_1,
 )
 
@@ -38,7 +37,7 @@ def test_numerics_public_names_are_pinned():
     assert public == [
         "QuadResult", "QuadratureError", "bernoulli_number", "divided_difference",
         "forward_diffs", "gen_binomial", "gregory_terms", "integrate",
-        "integrate_singular", "zeta_int", "zeta_int_minus_1"]
+        "integrate_singular", "zeta_int_minus_1"]
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +203,17 @@ def test_bernoulli_values():
 # integer zeta values
 
 def test_zeta_int_values():
-    assert zeta_int(2) == pytest.approx(ZETA_2, abs=1e-15)
-    assert zeta_int(3) == pytest.approx(ZETA_3, abs=1e-15)
-    assert zeta_int(50) == pytest.approx(1.0 + 2.0 ** -50, rel=1e-15)
+    # zeta(n) is 1.0 + zeta_int_minus_1(n)
+    assert 1.0 + zeta_int_minus_1(2) == pytest.approx(ZETA_2, abs=1e-15)
+    assert 1.0 + zeta_int_minus_1(3) == pytest.approx(ZETA_3, abs=1e-15)
+    assert 1.0 + zeta_int_minus_1(50) == pytest.approx(1.0 + 2.0 ** -50, rel=1e-15)
     assert zeta_int_minus_1(50) == pytest.approx(2.0 ** -50, rel=1e-8)
 
 
 @pytest.mark.parametrize("bad", [1, 0, -3, 61])
 def test_zeta_int_rejects_out_of_range(bad):
     with pytest.raises(ValueError):
-        zeta_int(bad)
+        zeta_int_minus_1(bad)
 
 
 # ---------------------------------------------------------------------------

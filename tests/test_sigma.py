@@ -358,7 +358,7 @@ def test_engine_functions_read_p_from_g():
 
 
 @pytest.mark.parametrize("fn,params", [
-    (asymptotics.binet, ["g", "x"]),
+    (asymptotics.binet, ["g", "x", "value"]),
     (sigma_deriv, ["g", "x", "r"]),
     (identities.euler_series_analogue, ["N"]),
     (shape.classify, ["g", "rng"]),

@@ -13,9 +13,10 @@ on every exit code, payload, error message and --help text the calls
 reach.  The calls cover every subcommand in both formats on the four
 catalog entries and both benchmark expressions, every verify suite and
 `all`, grid and --p/--shape overrides, failing reports (exit 4), bad
-input, every operator of the expression language through evaluate and
-jets, each of its evaluation-time failures and parse-error classes,
-argparse rejections, every --help, and the argvs of perfbench's
+input, --tol where it is read and where it is refused, every operator of
+the expression language through evaluate and jets, each of its
+evaluation-time failures and parse-error classes, argparse rejections,
+every --help, and the argvs of perfbench's
 verify_pass and cold_pass for seeds 1-3 (perfbench/workloads.py is
 imported only to draw them).
 Standard library only.
@@ -160,6 +161,8 @@ def calls() -> list[list[str]]:
             ["tabulate", "--fn", "ln", "--from", "1", "--to", "2", "--step", "1e-300"],
             ["tabulate", "--fn", "psi2g", "--from", "0.5", "--to", "1.5", "--step", "0.5",
              "--tol", "1e-12", "--format", "json"],
+            ["verify", "--fn", "ln", "--suite", "raabe", "--x", "0"],
+            ["verify", "--fn", "psi2g", "--suite", "stirling", "--x", "0"],
             # finite residuals, NaN sides
             ["verify", "--fn", "psi2g", "--suite", "stirling", "--x=1e200,1e201,1e202",
              "--format", "csv"],
@@ -182,6 +185,15 @@ def calls() -> list[list[str]]:
                  "--format", fmt],
                 ["verify", "--fn", "recip", "--suite", "wendel", "--x", "256,64,16",
                  "--format", fmt]]
+    # --tol belongs to eval and tabulate (whose binet column is built from the sigma
+    # it prints at that tol); constants, verify and expand refuse it
+    for fn in ("ln", "psi2g"):
+        for fmt in ("csv", "json"):
+            out.append(["tabulate", "--fn", fn, "--from", "0.5", "--to", "25.5", "--step",
+                        "0.5", "--tol", "1e-12", "--format", fmt])
+    out += [["constants", "--fn", "ln", "--tol", "1e-9"],
+            ["verify", "--fn", "ln", "--suite", "raabe", "--tol", "1e-9"],
+            ["expand", "--fn", "ln", "--x", "9", "--tol", "1e-9"]]
     # the expression language
     for src in EXPRESSIONS:
         out += [["eval", f"--expr={src}", "--x", "0.5,3,17.25"],
